@@ -48,9 +48,12 @@ from .typicality import (
 from .codec import (
     Codebook,
     Codeword,
+    CodewordRangeError,
+    DecodeBook,
     DecodeError,
     SchemeReport,
     build_codebook,
+    build_decode_book,
     codeword_from_bytes,
     codeword_to_bytes,
     decode,

@@ -20,6 +20,7 @@ from .analysis import (
 from .codec import (
     Codebook,
     build_codebook,
+    build_decode_book,
     codeword_from_bytes,
     codeword_to_bytes,
     decode,
@@ -96,8 +97,8 @@ def _cmd_decode(args) -> int:
     cw = codeword_from_bytes(Path(args.input).read_bytes())
     if args.gamma is not None and to_fraction(args.gamma) != cw.gamma:
         raise CpdzipError("--gamma disagrees with the codeword header")
-    cb = build_codebook(m, TypicalityParams(cw.gamma, m.dim), args.budget)
-    tensor = decode(cw, cb)
+    book = build_decode_book(m, TypicalityParams(cw.gamma, m.dim), args.budget)
+    tensor = decode(cw, book)
     _emit(tensor_to_dict(tensor), args.out)
     return 0
 

@@ -6,12 +6,17 @@ distinct composable tensor the index of its lexicographically smallest
 generating tuple.  One extra index is reserved as the fallback for everything
 else; decoding the fallback yields a fixed tensor (the composition of the
 smallest typical tuple, or the zero tensor when no tuple is typical).
+Decoding needs only the typical enumerations (a ``DecodeBook``); encoding
+also needs the tensor-to-index table, whose build sweeps the tuple space.
 
 Codeword wire format (bit-exact, big-endian):
 
     magic "TCPD" | version 0x01 | N u8 | R u8 | n u16 | gamma_num u32 |
     gamma_den u32 | model hash (32 bytes, SHA-256 of canonical model JSON) |
     flag u8 (0 typical, 1 fallback) | L u8 | index (L bytes)
+
+gamma is in lowest terms and L is the index's shortest length (at least 1),
+so each codeword has exactly one byte form.
 """
 
 from __future__ import annotations
@@ -52,10 +57,15 @@ MAGIC = b"TCPD"
 VERSION = 1
 FLAG_TYPICAL = 0
 FLAG_FALLBACK = 1
+U32_MAX = (1 << 32) - 1
 
 
 class DecodeError(CpdzipError):
     """Codeword cannot be decoded against this codebook."""
+
+
+class CodewordRangeError(CpdzipError, ValueError):
+    """A codeword field does not fit its slot in the wire form."""
 
 
 @dataclass(frozen=True)
@@ -72,15 +82,20 @@ class Codeword:
 
 
 @dataclass
-class Codebook:
-    """Immutable after construction; safe for concurrent encode/decode."""
+class DecodeBook:
+    """The part of a codebook that decoding reads.
+
+    Building it enumerates the typical matrices of each mode but never sweeps
+    the tuple space, so a decoder can afford it for one codeword.  Immutable
+    after construction; safe for concurrent decode.
+    """
 
     model: ModelSpec
     params: TypicalityParams
     enums: tuple[TypicalEnumeration, ...]
     tuple_count: int
-    tensor_to_index: dict[bytes, int]
     fallback_tensor: ExactTensor
+    model_digest: bytes  # model_hash(model), computed once per book
 
     @property
     def fallback_index(self) -> int:
@@ -113,6 +128,16 @@ class Codebook:
                 for i in range(1, self.model.order + 1)
             ]
         return FactorTuple(tuple(mats))
+
+
+@dataclass
+class Codebook(DecodeBook):
+    """A decode book plus encoding's map from tensor key to codebook index.
+
+    Immutable after construction; safe for concurrent encode/decode.
+    """
+
+    tensor_to_index: dict[bytes, int]
 
 
 # --- shared composition tables ------------------------------------------------
@@ -290,10 +315,10 @@ def _typical_id_map(
     return id_map
 
 
-def build_codebook(
+def build_decode_book(
     m: ModelSpec, p: TypicalityParams, budget: int = DEFAULT_BUDGET
-) -> Codebook:
-    """Deterministically build the typical-tuple codebook."""
+) -> DecodeBook:
+    """Deterministically build what decoding reads, without a tuple-space sweep."""
     if p.n != m.dim:
         raise ShapeError(f"params n={p.n} but model dim={m.dim}")
     modes = m.independent_matrices
@@ -301,7 +326,18 @@ def build_codebook(
     tuple_count = math.prod(e.count for e in enums)
     if tuple_count > budget:
         raise BudgetExceededError(tuple_count, budget, "codebook tuple space")
+    book = DecodeBook(m, p, enums, tuple_count, zero_tensor(m.order, m.dim), model_hash(m))
+    if tuple_count:
+        book.fallback_tensor = cpd_compose(book.tuple_at(0))
+    return book
 
+
+def build_codebook(
+    m: ModelSpec, p: TypicalityParams, budget: int = DEFAULT_BUDGET
+) -> Codebook:
+    """Deterministically build the typical-tuple codebook."""
+    book = build_decode_book(m, p, budget)
+    enums, tuple_count = book.enums, book.tuple_count
     full_total = math.prod(e.space_size for e in enums)
     tensor_to_index: dict[bytes, int] = {}
     if tuple_count and full_total <= budget:
@@ -319,11 +355,7 @@ def build_codebook(
             key = pack_scalars(compose_entries(list(mats)))
             tensor_to_index.setdefault(key, code_index)
             code_index += 1
-
-    cb = Codebook(m, p, enums, tuple_count, tensor_to_index, zero_tensor(m.order, m.dim))
-    if tuple_count:
-        cb.fallback_tensor = cpd_compose(cb.tuple_at(0))
-    return cb
+    return Codebook(**vars(book), tensor_to_index=tensor_to_index)
 
 
 def encode(t: ExactTensor, cb: Codebook) -> Codeword:
@@ -345,16 +377,19 @@ def _codeword(cb: Codebook, flag: int, index: int) -> Codeword:
         components=cb.model.components,
         n=cb.model.dim,
         gamma=cb.params.gamma,
-        model_digest=model_hash(cb.model),
+        model_digest=cb.model_digest,
         flag=flag,
         index=index,
     )
 
 
-def decode(c: Codeword, cb: Codebook) -> ExactTensor:
-    """Reconstruct the tensor for a codeword produced against this codebook."""
+def decode(c: Codeword, cb: DecodeBook) -> ExactTensor:
+    """Reconstruct the tensor for a codeword produced against this codebook.
+
+    A ``DecodeBook`` suffices; a full ``Codebook`` is one.
+    """
     m = cb.model
-    if c.model_digest != model_hash(m):
+    if c.model_digest != cb.model_digest:
         raise DecodeError("codeword model hash does not match the codebook's model")
     if (c.order, c.components, c.n) != (m.order, m.components, m.dim):
         raise DecodeError("codeword shape header does not match the codebook")
@@ -373,9 +408,28 @@ def decode(c: Codeword, cb: Codebook) -> ExactTensor:
     return cpd_compose(cb.tuple_at(c.index))
 
 
+def _index_length(index: int) -> int:
+    """L, the shortest big-endian length of an index (zero takes one byte)."""
+    return max(1, (index.bit_length() + 7) // 8)
+
+
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise CodewordRangeError(f"codeword {name} {value} outside [{low}, {high}]")
+
+
 def codeword_to_bytes(c: Codeword) -> bytes:
-    if not (0 < c.gamma.numerator < 1 << 32 and 0 < c.gamma.denominator < 1 << 32):
-        raise ValueError("gamma numerator/denominator must fit in u32")
+    length = _index_length(c.index)
+    _check_range("gamma numerator", c.gamma.numerator, 1, U32_MAX)
+    _check_range("gamma denominator", c.gamma.denominator, 1, U32_MAX)
+    _check_range("order N", c.order, 0, 255)
+    _check_range("components R", c.components, 0, 255)
+    _check_range("dimension n", c.n, 0, 65535)
+    _check_range("flag", c.flag, 0, 255)
+    if c.index < 0 or length > 255:
+        raise CodewordRangeError("codeword index must be non-negative and fit in 255 bytes")
+    if len(c.model_digest) != 32:
+        raise CodewordRangeError("codeword model digest must be 32 bytes")
     out = bytearray()
     out += MAGIC
     out.append(VERSION)
@@ -386,7 +440,6 @@ def codeword_to_bytes(c: Codeword) -> bytes:
     out += c.gamma.denominator.to_bytes(4, "big")
     out += c.model_digest
     out.append(c.flag)
-    length = max(1, (c.index.bit_length() + 7) // 8)
     out.append(length)
     out += c.index.to_bytes(length, "big")
     return bytes(out)
@@ -402,14 +455,21 @@ def codeword_from_bytes(buf: bytes) -> Codeword:
     order = buf[5]
     components = buf[6]
     n = int.from_bytes(buf[7:9], "big")
-    gamma = Fraction(int.from_bytes(buf[9:13], "big"), int.from_bytes(buf[13:17], "big"))
+    num = int.from_bytes(buf[9:13], "big")
+    den = int.from_bytes(buf[13:17], "big")
+    if num == 0 or den == 0:
+        raise DecodeError(f"codeword gamma {num}/{den} has a zero term")
+    if math.gcd(num, den) != 1:
+        raise DecodeError(f"codeword gamma {num}/{den} is not in lowest terms")
     digest = buf[17:49]
     flag = buf[49]
     length = buf[50]
     if len(buf) != 51 + length:
         raise DecodeError("codeword payload length mismatch")
     index = int.from_bytes(buf[51 : 51 + length], "big")
-    return Codeword(order, components, n, gamma, digest, flag, index)
+    if length != _index_length(index):
+        raise DecodeError(f"codeword index takes {length} bytes; its shortest form differs")
+    return Codeword(order, components, n, Fraction(num, den), digest, flag, index)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .errors import CpdzipError
 from .rational import Scalar, compact, rational_str, to_fraction
-
-
-class CpdzipError(Exception):
-    """Base class for errors raised by this package."""
 
 
 class ModelValidationError(CpdzipError):

@@ -3,7 +3,8 @@
 Scalars are Python ints or ``fractions.Fraction`` values.  Integral values are
 stored as plain ints: the numeric tower keeps equality and hashing consistent
 between ``int`` and ``Fraction``, and int arithmetic is much cheaper inside
-the enumeration loops.
+the enumeration loops.  The readers below return integral values as ints, so
+tensors and matrices built from their output need no further normalization.
 """
 
 from __future__ import annotations
@@ -11,7 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .errors import CpdzipError
+
 Scalar = Union[int, Fraction]
+
+
+class ScalarError(CpdzipError, ValueError):
+    """A value is not an exact rational in an accepted form."""
 
 
 def to_fraction(value) -> Fraction:
@@ -24,20 +31,52 @@ def to_fraction(value) -> Fraction:
         text = value.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
+            q = int(den)
+            if q == 0:
+                raise ScalarError(f"zero denominator in {value!r}")
+            return Fraction(int(num), q)
         return Fraction(int(text))
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def parse_scalar(value) -> Scalar:
+    """Read an int, Fraction, or 'p' / 'p/q' string; integral values as int.
+
+    Equal in value and type to ``compact(to_fraction(value))``, without
+    building a Fraction for integral input.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        try:
+            p = int(num)
+            q = int(den) if slash and den != "1" else 1
+        except ValueError:
+            raise ScalarError(f"not an exact rational: {value!r}") from None
+        if q == 1:
+            return p
+        if q == 0:
+            raise ScalarError(f"zero denominator in {value!r}")
+        if p % q == 0:
+            return p // q
+        return Fraction(p, q)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return compact(Fraction(value))
+    raise ScalarError(f"not an exact rational: {value!r}")
+
+
 def rational_str(value: Scalar) -> str:
     """Canonical 'p/q' form, q >= 1 and lowest terms; pinned for JSON and hashing."""
+    if type(value) is int:
+        return f"{value}/1"
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 
 def compact(value: Scalar) -> Scalar:
     """Collapse an integral Fraction to int; exact value is unchanged."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if type(value) is not int and isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return value
 
@@ -105,12 +144,8 @@ def scalar_fragment(value: Scalar) -> bytes:
 
 def pack_scalars(values: Iterable[Scalar]) -> bytes:
     """Injective byte encoding of a scalar sequence (self-delimiting varints)."""
-    return b"".join(map(scalar_fragment, values))
-
-
-def unpack_scalars(buf: bytes, count: int, pos: int = 0) -> tuple[list[Scalar], int]:
-    out = []
-    for _ in range(count):
-        v, pos = read_scalar(buf, pos)
-        out.append(v)
-    return out, pos
+    values = tuple(values)
+    try:  # every scalar already memoized: no per-scalar Python call
+        return b"".join(map(_FRAGMENTS.__getitem__, values))
+    except KeyError:
+        return b"".join(map(scalar_fragment, values))

@@ -15,6 +15,7 @@ PRNG contract (pinned; never change without a format-version bump):
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 
@@ -45,11 +46,7 @@ class RationalSampler:
     """Exact sampler for one distribution via 64-bit CDF inversion."""
 
     def __init__(self, dist: Distribution):
-        denom = 1
-        for p in dist.probs:
-            d = p.denominator
-            g = _gcd(denom, d)
-            denom = denom // g * d
+        denom = math.lcm(*(p.denominator for p in dist.probs))
         cum = []
         acc = 0
         for p in dist.probs:
@@ -65,12 +62,6 @@ class RationalSampler:
             u = rng.getrandbits(64)
             if u < self.limit:
                 return bisect_right(self.cum, u % self.denom)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _mode_samplers(m: ModelSpec, mode: int) -> list[RationalSampler]:

@@ -4,10 +4,16 @@ All arithmetic is exact: entries are ints or Fractions, equality is entrywise,
 and ranks are computed by fraction-free (Bareiss) elimination with no
 tolerances.  Matrices passed to the linear-algebra helpers are plain sequences
 of row sequences.
+
+Integral values are held as ints.  Tensors and factor matrices take their
+entries as given; the places where an integral Fraction can arise (JSON and
+dump parsing, composition of fractional factors, ``solve_exact``) collapse it
+to an int before construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,9 +24,9 @@ from .rational import (
     Scalar,
     compact,
     pack_scalars,
+    parse_scalar,
     rational_str,
     read_scalar,
-    to_fraction,
     write_scalar,
 )
 
@@ -29,6 +35,10 @@ Matrix = Sequence[Sequence[Scalar]]
 
 class ShapeError(CpdzipError):
     """Operands have inconsistent shapes."""
+
+
+class DocumentError(CpdzipError, ValueError):
+    """A tensor or factor-matrix document is not of the expected kind."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,7 @@ class ExactTensor:
                 f"order-{self.order} tensor of dim {self.dim} needs "
                 f"{self.dim ** self.order} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(compact(e) for e in self.entries))
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,7 +92,7 @@ class FactorMatrix:
     alphabet: Alphabet | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(compact(v) for v in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ShapeError("ragged factor matrix")
         object.__setattr__(self, "rows", rows)
@@ -141,6 +151,17 @@ def _outer_flat(vectors: Sequence[Sequence[Scalar]]) -> list[Scalar]:
     return out
 
 
+def _collapse(entries: list[Scalar], factors) -> list[Scalar]:
+    """``entries`` composed from the scalars ``factors``, integral values as int.
+
+    Sums and products of ints are ints, so only fractional factors pay for a
+    pass over the entries.
+    """
+    if all(type(v) is int for v in factors):
+        return entries
+    return [compact(e) for e in entries]
+
+
 def outer_product(vectors: Sequence[Sequence[Scalar]]) -> ExactTensor:
     """Outer product of N equal-length vectors, T[i_1..i_N] = prod_j v_j[i_j]."""
     if not vectors:
@@ -148,7 +169,8 @@ def outer_product(vectors: Sequence[Sequence[Scalar]]) -> ExactTensor:
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ShapeError("outer product requires equal-length vectors")
-    return ExactTensor(len(vectors), n, tuple(_outer_flat(vectors)))
+    flat = _collapse(_outer_flat(vectors), (v for vec in vectors for v in vec))
+    return ExactTensor(len(vectors), n, tuple(flat))
 
 
 def compose_entries(matrices: Sequence[FactorMatrix]) -> list[Scalar]:
@@ -159,7 +181,7 @@ def compose_entries(matrices: Sequence[FactorMatrix]) -> list[Scalar]:
     for r in range(1, r_count):
         term = _outer_flat(cols[r])
         acc = [a + b for a, b in zip(acc, term)]
-    return acc
+    return _collapse(acc, (v for m in matrices for row in m.rows for v in row))
 
 
 def cpd_compose(t: FactorTuple | Sequence[FactorMatrix]) -> ExactTensor:
@@ -264,23 +286,12 @@ def _integer_rows(m: Matrix) -> list[list[int]]:
     # Row scaling by the denominator lcm preserves rank.
     out = []
     for row in m:
-        lcm = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                d = v.denominator
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
+        lcm = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
         if lcm == 1:
             out.append([int(v) if isinstance(v, Fraction) else v for v in row])
         else:
             out.append([int(v * lcm) for v in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_exact(m: Matrix) -> int:
@@ -408,11 +419,18 @@ def tensor_to_dict(t: ExactTensor) -> dict:
     }
 
 
+def _check_kind(data, kind: str) -> None:
+    found = data.get("kind") if isinstance(data, dict) else None
+    if found != kind:
+        raise DocumentError(f"expected a {kind!r} document, got kind {found!r}")
+
+
 def tensor_from_dict(data: dict) -> ExactTensor:
+    _check_kind(data, "tensor")
     return ExactTensor(
         int(data["order"]),
         int(data["dim"]),
-        tuple(compact(to_fraction(e)) for e in data["entries"]),
+        tuple(map(parse_scalar, data["entries"])),
     )
 
 
@@ -427,7 +445,8 @@ def matrix_to_dict(x: FactorMatrix) -> dict:
 
 
 def matrix_from_dict(data: dict) -> FactorMatrix:
-    rows = tuple(tuple(compact(to_fraction(v)) for v in row) for row in data["entries"])
+    _check_kind(data, "factor_matrix")
+    rows = tuple(tuple(map(parse_scalar, row)) for row in data["entries"])
     return FactorMatrix(int(data["mode"]), rows)
 
 

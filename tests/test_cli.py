@@ -154,3 +154,46 @@ def test_experiment_runs_and_is_deterministic(model_file, tmp_path, capsys):
 
 def test_missing_model_file_is_reported(tmp_path, capsys):
     assert main(["validate", "--model", str(tmp_path / "nope.json")]) != 0
+
+
+def _encode_args(model_file, tensor_path, out, gamma="1/10"):
+    return [
+        "encode",
+        "--model", str(model_file),
+        "--gamma", gamma,
+        "--input", str(tensor_path),
+        "--out", str(out),
+    ]
+
+
+def test_encode_gamma_beyond_u32_is_an_error(model_file, tmp_path, capsys):
+    tensor_path = tmp_path / "zero.json"
+    tensor_path.write_text(json.dumps(tensor_to_dict(zero_tensor(3, 2))))
+    out = tmp_path / "zero.tcpd"
+    assert main(_encode_args(model_file, tensor_path, out, gamma="1/4294967296")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_encode_zero_denominator_entry_is_an_error(model_file, tmp_path, capsys):
+    doc = tensor_to_dict(zero_tensor(3, 2))
+    doc["entries"] = ["1/0"] * 8
+    tensor_path = tmp_path / "bad.json"
+    tensor_path.write_text(json.dumps(doc))
+    assert main(_encode_args(model_file, tensor_path, tmp_path / "bad.tcpd")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_decode_does_not_sweep_the_tuple_space(model_file, tmp_path, capsys, monkeypatch):
+    from cpdzip import codec
+
+    tensor = cpd_compose(
+        FactorTuple(tuple(FactorMatrix(i, ((1,), (-1,))) for i in (1, 2, 3)))
+    )
+    tensor_path = tmp_path / "tensor.json"
+    tensor_path.write_text(json.dumps(tensor_to_dict(tensor)))
+    code_path = tmp_path / "tensor.tcpd"
+    assert main(_encode_args(model_file, tensor_path, code_path)) == 0
+    monkeypatch.setattr(codec, "_space_index", None)
+    assert main(["decode", "--model", str(model_file), "--input", str(code_path)]) == 0
+    assert tensor_from_dict(json.loads(capsys.readouterr().out)) == tensor

@@ -3,14 +3,21 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpdzip import codec
 from cpdzip.analysis import cubic_sign_model, rank_one_sign_model
 from cpdzip.codec import (
+    MAGIC,
+    VERSION,
     Codeword,
+    CodewordRangeError,
     DecodeError,
     FLAG_FALLBACK,
     FLAG_TYPICAL,
     build_codebook,
+    build_decode_book,
     codeword_from_bytes,
     codeword_to_bytes,
     decode,
@@ -20,6 +27,7 @@ from cpdzip.codec import (
 )
 from cpdzip.model import (
     BudgetExceededError,
+    CpdzipError,
     Distribution,
     model_hash,
     theoretical_threshold,
@@ -278,3 +286,125 @@ def test_gamma_outside_u32_refused():
     huge = Codeword(cw.order, cw.components, cw.n, Fraction(1, 1 << 33), cw.model_digest, cw.flag, cw.index)
     with pytest.raises(ValueError):
         codeword_to_bytes(huge)
+
+
+def test_codeword_to_bytes_refuses_out_of_range_fields():
+    m = uniform_rank_one(2)
+    cb = build_codebook(m, TypicalityParams(Fraction(1, 10), 2))
+    cw = encode(cpd_compose(cb.tuple_at(0)), cb)
+    fields = vars(cw)
+    for change in (
+        {"gamma": Fraction(1 << 32, 3)},
+        {"gamma": Fraction(-1, 3)},
+        {"order": 256},
+        {"components": 256},
+        {"n": 65536},
+        {"flag": 256},
+        {"index": 1 << (8 * 255)},
+        {"index": -1},
+    ):
+        with pytest.raises(CodewordRangeError) as info:
+            codeword_to_bytes(Codeword(**{**fields, **change}))
+        assert isinstance(info.value, CpdzipError) and isinstance(info.value, ValueError)
+    longest = Codeword(**{**fields, "index": (1 << (8 * 255)) - 1})
+    assert codeword_from_bytes(codeword_to_bytes(longest)) == longest
+
+
+def _wire(num=1, den=10, length=None, index=b"\x05"):
+    header = MAGIC + bytes([VERSION, 3, 1]) + (2).to_bytes(2, "big")
+    gamma = num.to_bytes(4, "big") + den.to_bytes(4, "big")
+    length = len(index) if length is None else length
+    return header + gamma + bytes(32) + bytes([FLAG_TYPICAL, length]) + index
+
+
+def test_codeword_from_bytes_accepts_one_form_per_codeword():
+    assert codeword_from_bytes(_wire()).index == 5
+    assert codeword_from_bytes(_wire(index=b"\x00")).index == 0
+    for blob in (
+        _wire(index=b"\x00\x05"),  # leading zero byte
+        _wire(index=b"\x00\x00"),  # zero takes one byte
+        _wire(length=0, index=b""),  # L = 0
+        _wire(num=0),
+        _wire(den=0),
+        _wire(num=2, den=20),  # not in lowest terms
+    ):
+        with pytest.raises(DecodeError):
+            codeword_from_bytes(blob)
+
+
+u8 = st.integers(0, 255)
+u32 = st.sampled_from([0, 1, 2, 3, 4, 10, 20, (1 << 32) - 1]) | st.integers(0, (1 << 32) - 1)
+
+
+def _mostly(value, other):
+    """``value`` three times in four, otherwise a draw from ``other``."""
+    return st.integers(0, 3).flatmap(lambda k: st.just(value) if k else other)
+
+
+@st.composite
+def near_codewords(draw):
+    """Byte strings shaped like codewords, with every field drawn freely."""
+    head = draw(_mostly(MAGIC + bytes([VERSION]), st.binary(min_size=5, max_size=5)))
+    index = draw(st.binary(max_size=3))
+    length = draw(_mostly(len(index), u8))
+    return (
+        head
+        + bytes([draw(u8), draw(u8)])
+        + draw(st.integers(0, 65535)).to_bytes(2, "big")
+        + draw(u32).to_bytes(4, "big")
+        + draw(u32).to_bytes(4, "big")
+        + draw(st.binary(min_size=32, max_size=32))
+        + bytes([draw(u8), length])
+        + index
+        + draw(_mostly(b"", st.binary(max_size=2)))
+    )
+
+
+@given(st.binary(max_size=64) | near_codewords())
+@settings(max_examples=500)
+def test_every_byte_string_round_trips_or_is_refused(blob):
+    try:
+        cw = codeword_from_bytes(blob)
+    except DecodeError:
+        return
+    assert codeword_to_bytes(cw) == blob
+
+
+def test_integral_fraction_entries_encode_like_their_int_twin():
+    m = uniform_rank_one(2)
+    cb = build_codebook(m, TypicalityParams(Fraction(1, 10), 2))
+    hit = cpd_compose(cb.tuple_at(17))
+    miss = ExactTensor(3, 2, (-1,) * 7 + (1,))
+    for t in (hit, miss):
+        twin = ExactTensor(3, 2, tuple(Fraction(e) for e in t.entries))
+        assert twin == t and twin.key() == t.key()
+        assert codeword_to_bytes(encode(twin, cb)) == codeword_to_bytes(encode(t, cb))
+
+
+def _all_codewords(book):
+    m, gamma = book.model, book.params.gamma
+    for index in range(book.tuple_count):
+        yield Codeword(m.order, m.components, m.dim, gamma, book.model_digest, FLAG_TYPICAL, index)
+    yield Codeword(
+        m.order, m.components, m.dim, gamma, book.model_digest, FLAG_FALLBACK, book.fallback_index
+    )
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform_rank_one(n) for n in (2, 3)]
+    + [skewed_rank_one(n) for n in (2, 3)]
+    + [cubic_sign_model(n, SKEWED, uniform(2)) for n in (2, 3)],
+    ids=lambda m: f"{'super' if m.supersymmetric else 'rank-one'}-n{m.dim}",
+)
+def test_decode_book_decodes_like_the_codebook(m, monkeypatch):
+    for gamma in (Fraction(1, 10), Fraction(1, 4)):
+        p = TypicalityParams(gamma, m.dim)
+        cb = build_codebook(m, p)
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "_space_index", None)  # a decode book never sweeps
+            book = build_decode_book(m, p)
+            assert book.model_digest == cb.model_digest == model_hash(m)
+            assert book.tuple_count == cb.tuple_count
+            for cw in _all_codewords(book):
+                assert decode(cw, book) == decode(cw, cb)

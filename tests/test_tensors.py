@@ -445,3 +445,48 @@ def test_matrix_binary_dump_round_trip():
     blob = matrix_dump_bytes(x)
     again, consumed = matrix_from_dump(blob)
     assert again == x and consumed == len(blob)
+
+
+def test_json_readers_return_integral_values_as_int():
+    doc = {"kind": "tensor", "order": 1, "dim": 4, "entries": ["4/2", "-3/1", 5, "1/-2"]}
+    t = tensor_from_dict(doc)
+    assert t.entries == (2, -3, 5, Fraction(-1, 2))
+    assert [type(e) for e in t.entries[:3]] == [int, int, int]
+    x = matrix_from_dict(
+        {"kind": "factor_matrix", "mode": 1, "rows": 1, "cols": 2, "entries": [["6/3", "1/3"]]}
+    )
+    assert x.rows == ((2, Fraction(1, 3)),) and type(x.rows[0][0]) is int
+
+
+def test_tensor_from_dict_rejects_other_kinds():
+    doc = tensor_to_dict(zero_tensor(2, 2))
+    for kind in ("factor_matrix", None, "Tensor"):
+        bad = dict(doc, kind=kind)
+        with pytest.raises(CpdzipError):
+            tensor_from_dict(bad)
+    with pytest.raises(CpdzipError):
+        tensor_from_dict({k: v for k, v in doc.items() if k != "kind"})
+
+
+def test_matrix_from_dict_rejects_other_kinds():
+    doc = matrix_to_dict(FactorMatrix(1, ((1, 0), (0, 1))))
+    for kind in ("tensor", None):
+        with pytest.raises(CpdzipError):
+            matrix_from_dict(dict(doc, kind=kind))
+
+
+def test_tensor_from_dict_rejects_zero_denominator():
+    doc = tensor_to_dict(zero_tensor(2, 2))
+    doc["entries"][1] = "1/0"
+    with pytest.raises(CpdzipError):
+        tensor_from_dict(doc)
+
+
+def test_composition_of_fractional_factors_returns_integral_entries_as_int():
+    half = Fraction(1, 2)
+    t = outer_product([(half, 2), (2, half)])
+    assert t.entries == (1, Fraction(1, 4), 4, 1)
+    assert [type(e) for e in t.entries] == [int, Fraction, int, int]
+    mats = (factor(1, [[half], [2]]), factor(2, [[2], [half]]))
+    assert cpd_compose(mats).entries == t.entries
+    assert [type(e) for e in cpd_compose(mats).entries] == [int, Fraction, int, int]
