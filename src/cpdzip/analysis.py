@@ -9,6 +9,7 @@ and claimed relations between factor tuples are certified by multiplication.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,20 +23,26 @@ from .model import (
     ModelSpec,
     uniform,
 )
-from .rational import Scalar
+from .rational import Scalar, pack_scalars
 from .tensors import (
     ExactTensor,
     FactorMatrix,
     FactorTuple,
-    composes_to,
     khatri_rao_chain,
     mat_mul,
     rank_exact,
     solve_exact,
+    sweep_compositions,
     transpose,
     unfold,
 )
-from .typicality import iter_mode_matrices, matrix_probability, mode_space_size
+from .typicality import (
+    iter_mode_matrices,
+    matrix_probability,
+    mode_space_size,
+    mode_spaces,
+    tuple_probabilities,
+)
 
 
 class UnsupportedModelError(CpdzipError):
@@ -113,11 +120,8 @@ def count_factorizations(
     """
     if t.order != m.order or t.dim != m.dim:
         raise CpdzipError("target tensor shape does not match the model")
-    modes = m.independent_matrices
-    sizes = [mode_space_size(m, i) for i in range(1, modes + 1)]
-    total_space = math.prod(sizes)
-    if total_space > budget:
-        raise BudgetExceededError(total_space, budget, "factorization census")
+    spaces = mode_spaces(m, budget, "factorization census")
+    target = list(t.entries)
 
     total = 0
     full_rank = 0
@@ -125,19 +129,11 @@ def count_factorizations(
     full_rank_tuples: list[FactorTuple] = []
     r = m.components
 
-    if m.supersymmetric:
-        candidates = (
-            _replicate(x, m.order) for x in iter_mode_matrices(m, 1)
-        )
-    else:
-        candidates = product(
-            *(list(iter_mode_matrices(m, i)) for i in range(1, modes + 1))
-        )
-    for mats in candidates:
-        if not composes_to(mats, t):
+    for mats, entries in zip(product(*spaces), sweep_compositions(spaces, m.order)):
+        if entries != target:
             continue
         total += 1
-        ft = FactorTuple(tuple(mats))
+        ft = FactorTuple(_replicate(mats[0], m.order) if m.supersymmetric else mats)
         is_full = all(rank_exact(x.rows) == r for x in ft.matrices)
         if is_full:
             full_rank += 1
@@ -371,11 +367,12 @@ def uniqueness_census(
     if m.order < 2:
         raise UnsupportedModelError("uniqueness census needs order >= 2")
     sizes = [mode_space_size(m, i) for i in range(1, m.independent_matrices + 1)]
-    if math.prod(sizes) <= min(budget, _BRUTE_SPACE_CAP):
-        census = count_factorizations(t, m, full_rank_only=True, budget=budget)
+    if m.supersymmetric or math.prod(sizes) <= min(budget, _BRUTE_SPACE_CAP):
+        # Supersymmetric tuples have no pruned search: over the cap this raises.
+        census = count_factorizations(
+            t, m, full_rank_only=True, budget=min(budget, _BRUTE_SPACE_CAP)
+        )
         tuples = sorted(census.full_rank_tuples, key=_tuple_sort_key)
-    elif m.supersymmetric:
-        raise BudgetExceededError(math.prod(sizes), budget, "supersymmetric census")
     else:
         tuples = _full_rank_cogenerators(t, m)
     if not tuples:
@@ -493,28 +490,9 @@ def prob_zero_tensor(m: ModelSpec) -> Fraction:
 
 def brute_force_zero_prob(m: ModelSpec, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Oracle: sum of model probabilities of all tuples composing to zero."""
-    from .tensors import zero_tensor
-
-    target = zero_tensor(m.order, m.dim)
-    modes = m.independent_matrices
-    sizes = [mode_space_size(m, i) for i in range(1, modes + 1)]
-    if math.prod(sizes) > budget:
-        raise BudgetExceededError(math.prod(sizes), budget, "zero-tensor sweep")
-    total = Fraction(0)
-    if m.supersymmetric:
-        for x in iter_mode_matrices(m, 1):
-            if composes_to(_replicate(x, m.order), target):
-                total += matrix_probability(x, m)
-        return total
-    mode_lists = [
-        [(x, matrix_probability(x, m)) for x in iter_mode_matrices(m, i)]
-        for i in range(1, modes + 1)
-    ]
-    for combo in product(*mode_lists):
-        mats = tuple(x for x, _ in combo)
-        if composes_to(mats, target):
-            total += math.prod((p for _, p in combo), start=Fraction(1))
-    return total
+    spaces = mode_spaces(m, budget, "zero-tensor sweep")
+    sweep = zip(sweep_compositions(spaces, m.order), tuple_probabilities(m, spaces))
+    return sum((p for entries, p in sweep if not any(entries)), Fraction(0))
 
 
 # --- full-rank probability bounds -------------------------------------------------
@@ -595,25 +573,10 @@ def bilinear_census_summary(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, i
     non-representative cases; the representative identities (zero matrix,
     banded construction) are checked separately.
     """
-    from .rational import pack_scalars
-
     m = bilinear_sign_model(n, uniform(2), uniform(2), uniform(2), uniform(2))
-    space = mode_space_size(m, 1) * mode_space_size(m, 2)
-    if space > budget:
-        raise BudgetExceededError(space, budget, "order-2 full census")
-    groups: dict[bytes, int] = {}
-    mode1 = list(iter_mode_matrices(m, 1))
-    mode2 = list(iter_mode_matrices(m, 2))
-    from .tensors import compose_entries
-
-    for x1 in mode1:
-        for x2 in mode2:
-            key = pack_scalars(compose_entries([x1, x2]))
-            groups[key] = groups.get(key, 0) + 1
-    histogram: dict[int, int] = {}
-    for count in groups.values():
-        histogram[count] = histogram.get(count, 0) + 1
-    return histogram
+    spaces = mode_spaces(m, budget, "order-2 full census")
+    groups = Counter(map(pack_scalars, sweep_compositions(spaces, 2)))
+    return dict(Counter(groups.values()))
 
 
 def _count_check(name, observed: int, expected: int) -> CheckRow:
@@ -632,18 +595,15 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
     """Exhaustively check that every order-3 supersymmetric sign tensor's
     factorization count matches its diagonal pattern: all diagonal sums zero
     gives 2^n, a mixed pattern gives 2, no zero sums gives 1."""
-    from .rational import pack_scalars
-
-    groups: dict[bytes, list[tuple]] = {}
-    for bits in product(SIGN_SYMBOLS, repeat=2 * n):
-        a1, a2 = bits[:n], bits[n:]
-        t = cubic_sign_tensor(a1, a2)
-        groups.setdefault(pack_scalars(t.entries), []).append((a1, a2))
+    u2 = uniform(2)
+    spaces = mode_spaces(cubic_sign_model(n, u2, u2), budget, "order-3 full census")
+    groups: dict[bytes, list[FactorMatrix]] = {}
+    for x, entries in zip(spaces[0], sweep_compositions(spaces, 3)):
+        groups.setdefault(pack_scalars(entries), []).append(x)
     rows = []
     all_ok = True
     for generators in groups.values():
-        a1, a2 = generators[0]
-        zeros = _cubic_diagonal_zero_count(a1, a2)
+        zeros = _cubic_diagonal_zero_count(*generators[0].columns())
         if zeros == n:
             expected = 2**n
         elif zeros >= 1:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .model import (
     BudgetExceededError,
@@ -40,17 +39,17 @@ from .tensors import (
     FactorMatrix,
     FactorTuple,
     ShapeError,
-    compose_entries,
     cpd_compose,
+    sweep_compositions,
     zero_tensor,
 )
 from .typicality import (
     TypicalityParams,
     TypicalEnumeration,
     enumerate_typical,
-    iter_mode_matrices,
     matrix_probability,
-    mode_space_size,
+    mode_spaces,
+    tuple_probabilities,
 )
 
 MAGIC = b"TCPD"
@@ -182,100 +181,29 @@ def _space_index(m: ModelSpec, budget: int) -> _SpaceIndex:
     cached = _SPACE_CACHE.get(key)
     if cached is not None:
         return cached
-    modes = m.independent_matrices
-    sizes = tuple(mode_space_size(m, i) for i in range(1, modes + 1))
-    total = math.prod(sizes)
-    if total > budget:
-        raise BudgetExceededError(total, budget, "full tuple-space sweep")
-    mode_columns = [
-        [[x.column(r) for r in range(m.components)] for x in iter_mode_matrices(m, i)]
-        for i in range(1, modes + 1)
-    ]
-    order = m.order
+    spaces = mode_spaces(m, budget, "full tuple-space sweep")
     key_to_id: dict[bytes, int] = {}
-    id_keys: list[bytes] = []
-    tuple_ids: list[int] = []
-    append_id = tuple_ids.append
-
-    def intern(entries) -> None:
-        k = pack_scalars(entries)
-        tid = key_to_id.get(k)
-        if tid is None:
-            tid = len(id_keys)
-            key_to_id[k] = tid
-            id_keys.append(k)
-        append_id(tid)
-
-    if m.supersymmetric:
-        for cols in mode_columns[0]:
-            intern(_compose_columns([cols] * order))
-    else:
-        # Depth-first over modes, sharing Khatri-Rao prefixes of the flat
-        # rank-one expansions; at the last level the R columns are summed.
-        def descend(level: int, prefix: list[list]):
-            mats = mode_columns[level]
-            if level == modes - 1:
-                if m.components == 1:
-                    pre = prefix[0]
-                    for cols in mats:
-                        col = cols[0]
-                        intern([x * y for x in pre for y in col])
-                else:
-                    for cols in mats:
-                        acc = None
-                        for pre, col in zip(prefix, cols):
-                            term = [x * y for x in pre for y in col]
-                            acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-                        intern(acc)
-                return
-            for cols in mats:
-                nxt = [
-                    [x * y for x in pre for y in col]
-                    for pre, col in zip(prefix, cols)
-                ]
-                descend(level + 1, nxt)
-
-        descend(0, [[1]] * m.components)
-
-    index = _SpaceIndex(sizes, total, tuple_ids, id_keys, key_to_id)
+    tuple_ids = [
+        key_to_id.setdefault(pack_scalars(entries), len(key_to_id))
+        for entries in sweep_compositions(spaces, m.order)
+    ]
+    sizes = tuple(map(len, spaces))
+    index = _SpaceIndex(sizes, len(tuple_ids), tuple_ids, list(key_to_id), key_to_id)
     _SPACE_CACHE[key] = index
     _evict(_SPACE_CACHE)
     return index
 
 
-def _compose_columns(per_mode_cols) -> list:
-    # per_mode_cols[i][r]: column r of mode i; returns flat row-major entries.
-    r_count = len(per_mode_cols[0])
-    acc = None
-    for r in range(r_count):
-        term = [1]
-        for cols in per_mode_cols:
-            col = cols[r]
-            term = [x * y for x in term for y in col]
-        acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-    return acc
-
-
-def _tensor_probabilities(m: ModelSpec, space: _SpaceIndex) -> list[Fraction]:
+def _tensor_probabilities(m: ModelSpec, space: _SpaceIndex, budget: int) -> list[Fraction]:
     """Total model probability per tensor id, summed over generating tuples."""
     key = (_structure_key(m), model_hash(m))
     cached = _PROB_CACHE.get(key)
     if cached is not None:
         return cached
-    modes = m.independent_matrices
-    mode_probs = [
-        [matrix_probability(x, m) for x in iter_mode_matrices(m, i)]
-        for i in range(1, modes + 1)
-    ]
     totals = [Fraction(0)] * len(space.id_keys)
-    tuple_ids = space.tuple_ids
-    inner = mode_probs[-1]
-    idx = 0
-    for outer in product(*mode_probs[:-1]):
-        base = math.prod(outer, start=Fraction(1))
-        for p in inner:
-            totals[tuple_ids[idx]] += base * p
-            idx += 1
+    spaces = mode_spaces(m, budget, "full tuple-space sweep")
+    for tid, p in zip(space.tuple_ids, tuple_probabilities(m, spaces)):
+        totals[tid] += p
     _PROB_CACHE[key] = totals
     _evict(_PROB_CACHE)
     return totals
@@ -345,16 +273,9 @@ def build_codebook(
         for tid, code_index in _typical_id_map(space, enums).items():
             tensor_to_index[space.id_keys[tid]] = code_index
     elif tuple_count:
-        code_index = 0
-        for mats in product(*(e.matrices for e in enums)):
-            if m.supersymmetric:
-                mats = [
-                    FactorMatrix(i, mats[0].rows, mats[0].alphabet)
-                    for i in range(1, m.order + 1)
-                ]
-            key = pack_scalars(compose_entries(list(mats)))
-            tensor_to_index.setdefault(key, code_index)
-            code_index += 1
+        tuples = sweep_compositions([e.matrices for e in enums], m.order)
+        for code_index, entries in enumerate(tuples):
+            tensor_to_index.setdefault(pack_scalars(entries), code_index)
     return Codebook(**vars(book), tensor_to_index=tensor_to_index)
 
 
@@ -503,12 +424,9 @@ def measure_scheme(
     full space must fit the budget.
     """
     space = _space_index(m, budget)
-    probs = _tensor_probabilities(m, space)
-    modes = m.independent_matrices
-    enums = tuple(enumerate_typical(m, p, i, budget) for i in range(1, modes + 1))
-    tuple_count = math.prod(e.count for e in enums)
-    if tuple_count > budget:
-        raise BudgetExceededError(tuple_count, budget, "codebook tuple space")
+    probs = _tensor_probabilities(m, space, budget)
+    book = build_decode_book(m, p, budget)
+    enums, tuple_count = book.enums, book.tuple_count
     id_map = _typical_id_map(space, enums)
 
     decodable = sum((probs[tid] for tid in id_map), Fraction(0))

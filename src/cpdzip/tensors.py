@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import Alphabet, CpdzipError
 from .rational import (
@@ -38,7 +38,7 @@ class ShapeError(CpdzipError):
 
 
 class DocumentError(CpdzipError, ValueError):
-    """A tensor or factor-matrix document is not of the expected kind."""
+    """A tensor or factor-matrix document is not of the expected form."""
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,65 @@ def cpd_compose(t: FactorTuple | Sequence[FactorMatrix]) -> ExactTensor:
     return ExactTensor(len(mats), mats[0].n, tuple(compose_entries(mats)))
 
 
+def _prefixes(columns, prefix: list[list[Scalar]]) -> Iterator[list[list[Scalar]]]:
+    """Per-component flat expansions of every tuple of the leading modes."""
+    if not columns:
+        yield prefix
+        return
+    for cols in columns[0]:
+        yield from _prefixes(
+            columns[1:], [[x * y for x in pre for y in col] for pre, col in zip(prefix, cols)]
+        )
+
+
+def sweep_compositions(
+    mode_matrices: Sequence[Sequence[FactorMatrix]], order: int
+) -> Iterator[list[Scalar]]:
+    """Flat row-major entries of every factor tuple of a tuple space.
+
+    ``mode_matrices`` holds one list of matrices per mode; tuples come in
+    ``itertools.product(*mode_matrices)`` order, mode 1 most significant.  A
+    single list is used in all ``order`` modes (the supersymmetric case).
+    Entries of fractional factors may be integral Fractions; they compare and
+    pack like the equal ints.
+
+    Depth-first over modes, the flat rank-one expansions of the R components
+    share their Khatri-Rao prefixes; at the last mode the R terms are summed.
+    Supersymmetric tuples share no prefix, so each is expanded directly.
+    """
+    if len(mode_matrices) == 1 and order > 1:
+        for x in mode_matrices[0]:
+            acc = None
+            for col in x.columns():
+                term = col
+                for _ in range(order - 1):
+                    term = [a * b for a in term for b in col]
+                acc = term if acc is None else [a + b for a, b in zip(acc, term)]
+            yield acc
+        return
+    *leading, last = [[x.columns() for x in mats] for mats in mode_matrices]
+    if not last:
+        return
+    for prefix in _prefixes(leading, [[1]] * len(last[0])):
+        if len(prefix) == 1:
+            pre = prefix[0]
+            for (col,) in last:
+                yield [x * y for x in pre for y in col]
+            continue
+        for cols in last:
+            acc = None
+            for pre, col in zip(prefix, cols):
+                term = [x * y for x in pre for y in col]
+                acc = term if acc is None else [a + b for a, b in zip(acc, term)]
+            yield acc
+
+
 def composes_to(matrices: Sequence[FactorMatrix], target: ExactTensor) -> bool:
-    """Entrywise comparison with early exit; cheaper than composing fully."""
+    """Entrywise comparison with early exit; cheaper than composing fully.
+
+    The sweeps compose with ``sweep_compositions``; this stays as the
+    independent oracle that the tests check the engine against.
+    """
     n = matrices[0].n
     order = len(matrices)
     if target.order != order or target.dim != n:
@@ -425,12 +482,21 @@ def _check_kind(data, kind: str) -> None:
         raise DocumentError(f"expected a {kind!r} document, got kind {found!r}")
 
 
+def _field(data: dict, name: str, kind: type):
+    if name not in data:
+        raise DocumentError(f"document has no {name!r} field")
+    value = data[name]
+    if type(value) is not kind:
+        raise DocumentError(f"field {name!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def tensor_from_dict(data: dict) -> ExactTensor:
     _check_kind(data, "tensor")
     return ExactTensor(
-        int(data["order"]),
-        int(data["dim"]),
-        tuple(map(parse_scalar, data["entries"])),
+        _field(data, "order", int),
+        _field(data, "dim", int),
+        tuple(map(parse_scalar, _field(data, "entries", list))),
     )
 
 
@@ -446,8 +512,11 @@ def matrix_to_dict(x: FactorMatrix) -> dict:
 
 def matrix_from_dict(data: dict) -> FactorMatrix:
     _check_kind(data, "factor_matrix")
-    rows = tuple(tuple(map(parse_scalar, row)) for row in data["entries"])
-    return FactorMatrix(int(data["mode"]), rows)
+    mode = _field(data, "mode", int)
+    rows = _field(data, "entries", list)
+    if not all(type(row) is list for row in rows):
+        raise DocumentError("field 'entries' must be a list of rows")
+    return FactorMatrix(mode, tuple(tuple(map(parse_scalar, row)) for row in rows))
 
 
 def tensor_dump_bytes(t: ExactTensor) -> bytes:

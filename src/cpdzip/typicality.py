@@ -39,6 +39,10 @@ class TypicalityUndecidableError(CpdzipError):
     """The typicality boundary could not be resolved at maximum precision."""
 
 
+class TypicalityParamsError(CpdzipError, ValueError):
+    """Typicality parameters are out of their domain."""
+
+
 @dataclass(frozen=True)
 class TypicalityParams:
     """Slack gamma (nats per symbol, exact rational) and block length n."""
@@ -49,7 +53,7 @@ class TypicalityParams:
     def __post_init__(self):
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+            raise TypicalityParamsError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -219,6 +223,33 @@ def iter_mode_matrices(m: ModelSpec, mode: int) -> Iterator[FactorMatrix]:
         yield FactorMatrix(mode, rows, alphabet)
 
 
+def mode_spaces(m: ModelSpec, budget: int, what: str) -> list[list[FactorMatrix]]:
+    """Every matrix of each independent mode, canonical order, for a sweep of
+    the full tuple space (see ``tensors.sweep_compositions``).
+
+    Raises ``BudgetExceededError`` naming ``what`` when the tuple space holds
+    more than ``budget`` tuples.
+    """
+    modes = range(1, m.independent_matrices + 1)
+    total = math.prod(mode_space_size(m, i) for i in modes)
+    if total > budget:
+        raise BudgetExceededError(total, budget, what)
+    return [list(iter_mode_matrices(m, i)) for i in modes]
+
+
+def tuple_probabilities(
+    m: ModelSpec, mode_matrices: list[list[FactorMatrix]]
+) -> Iterator[Fraction]:
+    """Exact model probability of every tuple, in the order of
+    ``sweep_compositions(mode_matrices, m.order)``."""
+    probs = [[matrix_probability(x, m) for x in mats] for mats in mode_matrices]
+    inner = probs[-1]
+    for outer in product(*probs[:-1]):
+        base = math.prod(outer, start=Fraction(1))
+        for p in inner:
+            yield base * p
+
+
 def enumerate_typical(
     m: ModelSpec,
     p: TypicalityParams,
@@ -279,14 +310,6 @@ def spectrum_samples(m: ModelSpec, trials: int, seed: int) -> list[float]:
         )
         out.append(-total / n)
     return out
-
-
-def write_spectrum_csv(samples: list[float], path) -> None:
-    """Emit spectrum samples as a ``trial,value`` CSV."""
-    lines = ["trial,value"]
-    lines.extend(f"{t},{v!r}" for t, v in enumerate(samples))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def write_enumeration_dump(enum: TypicalEnumeration, path) -> None:

@@ -87,6 +87,13 @@ def test_cubic_census_classification_n3():
     assert rows[-1].observed == "ok"
 
 
+def test_cubic_census_classification_enforces_budget():
+    # n=3: one 3 x 2 sign matrix per tuple, 2^6 = 64 tuples
+    with pytest.raises(BudgetExceededError):
+        cubic_census_classification(3, budget=63)
+    assert cubic_census_classification(3, budget=64)[-1].ok
+
+
 def test_cubic_census_respects_supersymmetric_space():
     # the census enumerates one matrix and replicates; total candidates 2^(2n)
     m = cubic_sign_model(2, U2, U2)

@@ -184,6 +184,25 @@ def test_encode_zero_denominator_entry_is_an_error(model_file, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("gamma", ["0", "0/7"])
+def test_encode_nonpositive_gamma_is_an_error(model_file, tmp_path, capsys, gamma):
+    tensor_path = tmp_path / "zero.json"
+    tensor_path.write_text(json.dumps(tensor_to_dict(zero_tensor(3, 2))))
+    out = tmp_path / "zero.tcpd"
+    assert main(_encode_args(model_file, tensor_path, out, gamma=gamma)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_encode_tensor_document_without_entries_is_an_error(model_file, tmp_path, capsys):
+    doc = tensor_to_dict(zero_tensor(3, 2))
+    del doc["entries"]
+    tensor_path = tmp_path / "bad.json"
+    tensor_path.write_text(json.dumps(doc))
+    assert main(_encode_args(model_file, tensor_path, tmp_path / "bad.tcpd")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_decode_does_not_sweep_the_tuple_space(model_file, tmp_path, capsys, monkeypatch):
     from cpdzip import codec
 

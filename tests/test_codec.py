@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdzip import codec
-from cpdzip.analysis import cubic_sign_model, rank_one_sign_model
+from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
 from cpdzip.codec import (
     MAGIC,
     VERSION,
@@ -408,3 +408,25 @@ def test_decode_book_decodes_like_the_codebook(m, monkeypatch):
             assert book.tuple_count == cb.tuple_count
             for cw in _all_codewords(book):
                 assert decode(cw, book) == decode(cw, cb)
+
+
+@pytest.mark.parametrize(
+    "m, gamma",
+    [
+        (skewed_rank_one(3), Fraction(1, 10)),
+        (skewed_rank_one(3), Fraction(1, 2)),
+        (bilinear_sign_model(2, SKEWED, uniform(2), SKEWED, SKEWED), Fraction(1, 2)),
+    ],
+    ids=["rank-one-1/10", "rank-one-1/2", "bilinear-1/2"],
+)
+def test_codebook_over_budget_path_matches_full_space_path(m, gamma, monkeypatch):
+    p = TypicalityParams(gamma, m.dim)
+    full = build_codebook(m, p)
+    full_space = math.prod(e.space_size for e in full.enums)
+    budget = max(full.tuple_count, *(e.space_size for e in full.enums))
+    assert 0 < full.tuple_count <= budget < full_space
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "_space_index", None)  # the budget forbids the full sweep
+        small = build_codebook(m, p, budget=budget)
+    assert small.tensor_to_index == full.tensor_to_index
+    assert small.size == full.size and small.fallback_tensor == full.fallback_tensor

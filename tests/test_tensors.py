@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cpdzip.model import Alphabet
 from cpdzip.tensors import (
+    DocumentError,
     ExactTensor,
     FactorMatrix,
     FactorTuple,
@@ -473,6 +474,41 @@ def test_matrix_from_dict_rejects_other_kinds():
     for kind in ("tensor", None):
         with pytest.raises(CpdzipError):
             matrix_from_dict(dict(doc, kind=kind))
+
+
+@pytest.mark.parametrize("name", ["order", "dim", "entries"])
+def test_tensor_from_dict_requires_every_field(name):
+    doc = tensor_to_dict(zero_tensor(2, 2))
+    del doc[name]
+    with pytest.raises(DocumentError, match=name):
+        tensor_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("order", "2"), ("order", 2.0), ("dim", 2.5), ("dim", True), ("dim", None), ("entries", "0000")],
+)
+def test_tensor_from_dict_refuses_mistyped_fields(name, value):
+    doc = dict(tensor_to_dict(zero_tensor(2, 2)), **{name: value})
+    with pytest.raises(DocumentError, match=name):
+        tensor_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["mode", "entries"])
+def test_matrix_from_dict_requires_every_field(name):
+    doc = matrix_to_dict(FactorMatrix(1, ((1, 0), (0, 1))))
+    del doc[name]
+    with pytest.raises(DocumentError, match=name):
+        matrix_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("mode", "1"), ("mode", 1.0), ("entries", ["10", "01"])]
+)
+def test_matrix_from_dict_refuses_mistyped_fields(name, value):
+    doc = dict(matrix_to_dict(FactorMatrix(1, ((1, 0), (0, 1)))), **{name: value})
+    with pytest.raises(DocumentError, match=name):
+        matrix_from_dict(doc)
 
 
 def test_tensor_from_dict_rejects_zero_denominator():

@@ -8,6 +8,7 @@ from cpdzip.analysis import rank_one_sign_model
 from cpdzip.model import (
     Alphabet,
     BudgetExceededError,
+    CpdzipError,
     Distribution,
     ModelSpec,
     entropy,
@@ -77,6 +78,13 @@ def test_log_prob_rejects_off_alphabet_entries():
     m = skewed_model(2)
     with pytest.raises(ValueError):
         log_prob_matrix(column_matrix((1, 2)), m)
+
+
+@pytest.mark.parametrize("gamma", [0, Fraction(-1, 10)])
+def test_nonpositive_gamma_is_refused(gamma):
+    with pytest.raises(CpdzipError) as info:
+        TypicalityParams(gamma, 3)
+    assert isinstance(info.value, ValueError)
 
 
 def test_matrix_probability_exact():
@@ -245,19 +253,6 @@ def test_spectrum_deterministic_given_seed():
     m = skewed_model(6)
     assert spectrum_samples(m, 50, seed=7) == spectrum_samples(m, 50, seed=7)
     assert spectrum_samples(m, 50, seed=7) != spectrum_samples(m, 50, seed=8)
-
-
-def test_spectrum_csv_format(tmp_path):
-    from cpdzip.typicality import write_spectrum_csv
-
-    m = skewed_model(4, order=2)
-    samples = spectrum_samples(m, 5, seed=3)
-    path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(samples, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "trial,value"
-    assert len(lines) == 6
-    assert float(lines[1].split(",")[1]) == samples[0]
 
 
 def test_enumeration_dump_round_trip(tmp_path):
