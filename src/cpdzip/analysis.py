@@ -366,9 +366,14 @@ def uniqueness_census(
     """
     if m.order < 2:
         raise UnsupportedModelError("uniqueness census needs order >= 2")
-    sizes = [mode_space_size(m, i) for i in range(1, m.independent_matrices + 1)]
-    if m.supersymmetric or math.prod(sizes) <= min(budget, _BRUTE_SPACE_CAP):
-        # Supersymmetric tuples have no pruned search: over the cap this raises.
+    space = math.prod(mode_space_size(m, i) for i in range(1, m.independent_matrices + 1))
+    if m.supersymmetric and space > _BRUTE_SPACE_CAP:
+        # Supersymmetric tuples have no pruned search, and no budget lifts the cap.
+        raise UnsupportedModelError(
+            f"uniqueness census of a supersymmetric model searches all {space} tuples, "
+            f"above the fixed brute-force cap of {_BRUTE_SPACE_CAP} tuples"
+        )
+    if m.supersymmetric or space <= min(budget, _BRUTE_SPACE_CAP):
         census = count_factorizations(
             t, m, full_rank_only=True, budget=min(budget, _BRUTE_SPACE_CAP)
         )

@@ -26,6 +26,7 @@ from .codec import (
     decode,
     encode,
 )
+from .errors import read_json
 from .experiments import load_experiment_config, run_experiment
 from .model import (
     CpdzipError,
@@ -56,8 +57,7 @@ def _emit(payload, out: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        m = model_from_dict(json.load(fh))
+    m = model_from_dict(read_json(args.model))
     violations = validate(m)
     if violations:
         for v in violations:
@@ -85,8 +85,7 @@ def _build(args) -> Codebook:
 
 def _cmd_encode(args) -> int:
     cb = _build(args)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        tensor = tensor_from_dict(json.load(fh))
+    tensor = tensor_from_dict(read_json(args.input))
     cw = encode(tensor, cb)
     Path(args.out).write_bytes(codeword_to_bytes(cw))
     return 0
@@ -146,8 +145,7 @@ def _census_payload(census: FactorizationCensus, bound: int) -> dict:
 
 def _cmd_count(args) -> int:
     m = load_model(args.model)
-    with open(args.tensor, "r", encoding="utf-8") as fh:
-        tensor = tensor_from_dict(json.load(fh))
+    tensor = tensor_from_dict(read_json(args.tensor))
     census = count_factorizations(
         tensor, m, full_rank_only=args.full_rank_only, budget=args.budget
     )
@@ -156,8 +154,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_krank(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        x = matrix_from_dict(json.load(fh))
+    x = matrix_from_dict(read_json(args.input))
     _emit({"rank": rank_exact(x.rows), "kruskal_rank": kruskal_rank(x.rows)}, args.out)
     return 0
 

@@ -47,9 +47,9 @@ from .typicality import (
     TypicalityParams,
     TypicalEnumeration,
     enumerate_typical,
-    matrix_probability,
     mode_spaces,
     tuple_probabilities,
+    typicality_mass,
 )
 
 MAGIC = b"TCPD"
@@ -437,9 +437,7 @@ def measure_scheme(
             decodable += probs[zero_id]
     error = 1 - decodable
 
-    masses = tuple(
-        sum((matrix_probability(x, m) for x in e.matrices), Fraction(0)) for e in enums
-    )
+    masses = tuple(typicality_mass(m, p, e.mode, budget) for e in enums)
     mass_bound = 1 - math.prod(masses, start=Fraction(1))
     size = tuple_count + 1
     return SchemeReport(

@@ -29,6 +29,7 @@ from .analysis import (
     UnsupportedModelError,
 )
 from .codec import length_bound_nats, measure_scheme
+from .errors import DocumentError, json_field, read_json
 from .model import (
     BudgetExceededError,
     CpdzipError,
@@ -73,24 +74,33 @@ class ExperimentConfig:
             raise CpdzipError("gamma_grid must be non-empty")
         if self.trials < 1:
             raise CpdzipError("trials must be >= 1")
+        if min(self.n_grid) < 1:
+            raise CpdzipError("n_grid entries must be >= 1")
+        if self.budget < 1:
+            raise CpdzipError("budget must be >= 1")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Read a config document; every field must have its JSON type (integers
+    for ``n_grid``, ``trials``, ``seed`` and ``budget``, a boolean for
+    ``emit_samples``), never a value coerced to it."""
+    data = read_json(path)
     try:
+        n_grid = json_field(data, "n_grid", list)
+        if not all(type(n) is int for n in n_grid):
+            raise DocumentError(f"field 'n_grid' must list integers, got {n_grid!r}")
         return ExperimentConfig(
-            model_path=str(data["model"]),
-            kind=str(data["kind"]),
-            n_grid=tuple(int(n) for n in data["n_grid"]),
-            gamma_grid=tuple(to_fraction(g) for g in data.get("gamma_grid", ["1/10"])),
-            trials=int(data.get("trials", 1)),
-            seed=int(data["seed"]),
-            out=str(data["out"]),
-            budget=int(data.get("budget", DEFAULT_BUDGET)),
-            emit_samples=bool(data.get("emit_samples", False)),
+            model_path=json_field(data, "model", str),
+            kind=json_field(data, "kind", str),
+            n_grid=tuple(n_grid),
+            gamma_grid=tuple(map(to_fraction, json_field(data, "gamma_grid", list, ["1/10"]))),
+            trials=json_field(data, "trials", int, 1),
+            seed=json_field(data, "seed", int),
+            out=json_field(data, "out", str),
+            budget=json_field(data, "budget", int, DEFAULT_BUDGET),
+            emit_samples=json_field(data, "emit_samples", bool, False),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CpdzipError(f"malformed experiment config: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CpdzipError
+from .errors import CpdzipError, DocumentError, json_field, read_json
 from .rational import Scalar, compact, rational_str, to_fraction
 
 
@@ -225,20 +225,24 @@ def model_to_dict(m: ModelSpec) -> dict:
 
 
 def model_from_dict(data: dict) -> ModelSpec:
+    """Read a model document.  ``order``, ``dim`` and ``components`` must be
+    JSON integers and ``supersymmetric``, if present, a JSON boolean."""
     try:
-        alphabets = tuple(Alphabet(tuple(row)) for row in data["alphabets"])
-        dists = tuple(
-            tuple(Distribution(tuple(pr)) for pr in row) for row in data["dists"]
-        )
+        rows = json_field(data, "alphabets", list)
+        dist_rows = json_field(data, "dists", list)
+        if not all(type(row) is list for row in rows):
+            raise DocumentError("field 'alphabets' must be a list of symbol lists")
+        if not all(type(row) is list and all(type(pr) is list for pr in row) for row in dist_rows):
+            raise DocumentError("field 'dists' must be a list of lists of probability lists")
         return ModelSpec(
-            order=int(data["order"]),
-            dim=int(data["dim"]),
-            components=int(data["components"]),
-            alphabets=alphabets,
-            dists=dists,
-            supersymmetric=bool(data.get("supersymmetric", False)),
+            order=json_field(data, "order", int),
+            dim=json_field(data, "dim", int),
+            components=json_field(data, "components", int),
+            alphabets=tuple(Alphabet(tuple(row)) for row in rows),
+            dists=tuple(tuple(Distribution(tuple(pr)) for pr in row) for row in dist_rows),
+            supersymmetric=json_field(data, "supersymmetric", bool, False),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ModelValidationError([f"malformed model document: {exc}"]) from exc
 
 
@@ -252,9 +256,7 @@ def model_hash(m: ModelSpec) -> bytes:
 
 
 def load_model(path: str | Path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        m = model_from_dict(json.load(fh))
-    return require_valid(m)
+    return require_valid(model_from_dict(read_json(path)))
 
 
 def save_model(m: ModelSpec, path: str | Path) -> None:

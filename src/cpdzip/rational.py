@@ -28,14 +28,14 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            q = int(den)
-            if q == 0:
-                raise ScalarError(f"zero denominator in {value!r}")
-            return Fraction(int(num), q)
-        return Fraction(int(text))
+        num, slash, den = value.strip().partition("/")
+        try:
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:
+            raise ScalarError(f"not an exact rational: {value!r}") from None
+        if q == 0:
+            raise ScalarError(f"zero denominator in {value!r}")
+        return Fraction(p, q)
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
+from .errors import DocumentError, json_field
 from .model import Alphabet, CpdzipError
 from .rational import (
     Scalar,
@@ -35,10 +36,6 @@ Matrix = Sequence[Sequence[Scalar]]
 
 class ShapeError(CpdzipError):
     """Operands have inconsistent shapes."""
-
-
-class DocumentError(CpdzipError, ValueError):
-    """A tensor or factor-matrix document is not of the expected form."""
 
 
 @dataclass(frozen=True)
@@ -482,21 +479,12 @@ def _check_kind(data, kind: str) -> None:
         raise DocumentError(f"expected a {kind!r} document, got kind {found!r}")
 
 
-def _field(data: dict, name: str, kind: type):
-    if name not in data:
-        raise DocumentError(f"document has no {name!r} field")
-    value = data[name]
-    if type(value) is not kind:
-        raise DocumentError(f"field {name!r} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
 def tensor_from_dict(data: dict) -> ExactTensor:
     _check_kind(data, "tensor")
     return ExactTensor(
-        _field(data, "order", int),
-        _field(data, "dim", int),
-        tuple(map(parse_scalar, _field(data, "entries", list))),
+        json_field(data, "order", int),
+        json_field(data, "dim", int),
+        tuple(map(parse_scalar, json_field(data, "entries", list))),
     )
 
 
@@ -512,8 +500,8 @@ def matrix_to_dict(x: FactorMatrix) -> dict:
 
 def matrix_from_dict(data: dict) -> FactorMatrix:
     _check_kind(data, "factor_matrix")
-    mode = _field(data, "mode", int)
-    rows = _field(data, "entries", list)
+    mode = json_field(data, "mode", int)
+    rows = json_field(data, "entries", list)
     if not all(type(row) is list for row in rows):
         raise DocumentError("field 'entries' must be a list of rows")
     return FactorMatrix(mode, tuple(tuple(map(parse_scalar, row)) for row in rows))

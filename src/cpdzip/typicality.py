@@ -121,20 +121,20 @@ def log_prob_matrix(x: FactorMatrix, m: ModelSpec) -> float:
 
 
 def _deviation_terms(
-    x: FactorMatrix, m: ModelSpec
+    counts, n: int, m: ModelSpec, mode: int
 ) -> list[tuple[Fraction, Fraction]] | None:
     """(coefficient, p) pairs with D = sum c * (-ln p); None if P(X) = 0.
 
-    D is -ln P(X) - n * sum_r H; grouping by (column, symbol) gives
-    c = count - n * p for each symbol of positive probability.
+    ``counts[r][k]`` is the number of entries of symbol k in column r of an
+    n-row matrix X of mode ``mode``.  D is -ln P(X) - n * sum_r H; grouping by
+    (column, symbol) gives c = count - n * p for each symbol of positive
+    probability.
     """
-    counts = _symbol_counts(x, m)
-    n = x.n
     terms = []
-    for r in range(x.r):
-        probs = m.dist(x.mode, r).probs
+    for r, column in enumerate(counts):
+        probs = m.dist(mode, r).probs
         for k, p in enumerate(probs):
-            c = counts[r][k]
+            c = column[k]
             if p == 0:
                 if c:
                     return None
@@ -154,9 +154,10 @@ def _interval_sign(value) -> bool | None:
     return None
 
 
-def is_typical_matrix(x: FactorMatrix, m: ModelSpec, p: TypicalityParams) -> bool:
-    """Strict typicality test; boundary points count as atypical."""
-    terms = _deviation_terms(x, m)
+def _is_typical_counts(counts, n: int, m: ModelSpec, mode: int, p: TypicalityParams) -> bool:
+    """Strict typicality of every n-row matrix of ``mode`` whose column r holds
+    ``counts[r][k]`` entries of symbol k; boundary points count as atypical."""
+    terms = _deviation_terms(counts, n, m, mode)
     if terms is None:
         return False  # zero-probability entry
     if not terms:
@@ -200,6 +201,11 @@ def is_typical_matrix(x: FactorMatrix, m: ModelSpec, p: TypicalityParams) -> boo
     raise TypicalityUndecidableError(
         "typicality boundary unresolved at maximum precision"
     )
+
+
+def is_typical_matrix(x: FactorMatrix, m: ModelSpec, p: TypicalityParams) -> bool:
+    """Strict typicality test; boundary points count as atypical."""
+    return _is_typical_counts(_symbol_counts(x, m), x.n, m, x.mode, p)
 
 
 def mode_space_size(m: ModelSpec, mode: int) -> int:
@@ -250,22 +256,67 @@ def tuple_probabilities(
             yield base * p
 
 
+def _column_types(size: int, n: int) -> list[tuple[int, ...]]:
+    """Every type of an n-entry column over ``size`` symbols: the count
+    vectors (c_0, ..., c_{size-1}) with sum n."""
+    if size == 1:
+        return [(n,)]
+    return [(c, *rest) for c in range(n + 1) for rest in _column_types(size - 1, n - c)]
+
+
 def enumerate_typical(
     m: ModelSpec,
     p: TypicalityParams,
     mode: int,
     budget: int = DEFAULT_BUDGET,
 ) -> TypicalEnumeration:
-    """Enumerate exactly the typical matrices of one mode, canonical order."""
+    """Enumerate exactly the typical matrices of one mode, canonical order.
+
+    Typicality depends only on the type (symbol counts) of each column, so it
+    is decided once per tuple of column types.  In canonical order a matrix
+    whose columns have indices c_0, ..., c_{R-1} among the |A|^n columns (read
+    as base-|A| numbers) sits at position sum_r c_r * (|A|^n)^(R-1-r); walking
+    the leading columns in order and, for each, the last columns that complete
+    a typical type tuple in ascending order yields ascending positions.
+    """
     space = mode_space_size(m, mode)
     if space > budget:
         raise BudgetExceededError(space, budget, f"mode-{mode} enumeration")
+    alphabet = m.alphabet(mode)
+    symbols = alphabet.symbols
+    n, r = m.dim, m.components
+    col_types = []
+    col_symbols = []
+    by_type: dict[tuple[int, ...], list[int]] = {}  # column indices, ascending
+    for c, digits in enumerate(product(range(len(symbols)), repeat=n)):
+        counts = [0] * len(symbols)
+        for d in digits:
+            counts[d] += 1
+        col_types.append(tuple(counts))
+        col_symbols.append(tuple(symbols[d] for d in digits))
+        by_type.setdefault(col_types[-1], []).append(c)
+    typical = {
+        tt for tt in product(by_type, repeat=r) if _is_typical_counts(tt, n, m, mode, p)
+    }
+
+    columns = len(col_types)
+    completions: dict[tuple, list[int]] = {}
     matrices = []
     positions = []
-    for pos, x in enumerate(iter_mode_matrices(m, mode)):
-        if is_typical_matrix(x, m, p):
-            matrices.append(x)
-            positions.append(pos)
+    for i, lead in enumerate(product(range(columns), repeat=r - 1)):
+        lead_types = tuple(col_types[c] for c in lead)
+        last = completions.get(lead_types)
+        if last is None:
+            last = sorted(
+                c for t, cs in by_type.items() if lead_types + (t,) in typical for c in cs
+            )
+            completions[lead_types] = last
+        base = i * columns  # lead is the base-|A|^n numeral of i
+        lead_cols = [col_symbols[c] for c in lead]
+        for c in last:
+            positions.append(base + c)
+            rows = tuple(zip(*lead_cols, col_symbols[c]))
+            matrices.append(FactorMatrix(mode, rows, alphabet))
     enum = TypicalEnumeration(mode, tuple(matrices), tuple(positions), space)
     # Standard cardinality bound: every typical X has P(X) > exp(-n(sum_r H + gamma)),
     # and the total mass is at most 1.
@@ -284,9 +335,38 @@ def typicality_mass(
     mode: int,
     budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
-    """Exact model probability of the mode's typical set."""
-    enum = enumerate_typical(m, p, mode, budget)
-    return sum((matrix_probability(x, m) for x in enum.matrices), Fraction(0))
+    """Exact model probability of the mode's typical set, by the method of types.
+
+    Column r of type t (t_k entries of symbol k) is one of multinomial(n; t)
+    columns, each of probability prod_k p_{r,k}^t_k; the mass sums the product
+    of these over the typical type tuples.  With column r's probabilities over
+    a common denominator d_r the weights are integers over d_r^n, so the sum
+    runs on ints.  ``budget`` bounds the number of type tuples decided, not
+    the mode space.
+    """
+    n, r = m.dim, m.components
+    types = _column_types(m.alphabet(mode).size, n)
+    tuples = len(types) ** r
+    if tuples > budget:
+        raise BudgetExceededError(tuples, budget, f"mode-{mode} type tuples")
+    n_fact = math.factorial(n)
+    weights = []
+    denominator = 1
+    for column in range(r):
+        probs = m.dist(mode, column).probs
+        d = math.lcm(*(q.denominator for q in probs))
+        scaled = [q.numerator * (d // q.denominator) for q in probs]
+        weights.append({
+            t: n_fact // math.prod(map(math.factorial, t))
+            * math.prod(s**c for s, c in zip(scaled, t))
+            for t in types
+        })
+        denominator *= d**n
+    total = 0
+    for tt in product(types, repeat=r):
+        if _is_typical_counts(tt, n, m, mode, p):
+            total += math.prod(w[t] for w, t in zip(weights, tt))
+    return Fraction(total, denominator)
 
 
 def spectrum_samples(m: ModelSpec, trials: int, seed: int) -> list[float]:

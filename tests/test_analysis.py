@@ -373,3 +373,19 @@ def test_verify_examples_fast_all_pass():
     assert all(isinstance(r, CheckRow) for r in rows)
     failures = [r for r in rows if not r.ok]
     assert failures == []
+
+
+def test_uniqueness_census_supersymmetric_over_the_fixed_cap_suggests_no_budget():
+    m = cubic_sign_model(11, U2, U2)  # 2^22 tuples, above the 2^20 brute-force cap
+    with pytest.raises(UnsupportedModelError) as info:
+        uniqueness_census(zero_tensor(3, 11), m, budget=2**30)
+    assert not isinstance(info.value, BudgetExceededError)
+    assert str(1 << 20) in str(info.value)
+    assert "budget" not in str(info.value)
+
+
+def test_uniqueness_census_supersymmetric_under_the_cap_names_the_budget():
+    m = cubic_sign_model(3, U2, U2)  # 64 tuples
+    with pytest.raises(BudgetExceededError) as info:
+        uniqueness_census(zero_tensor(3, 3), m, budget=32)
+    assert info.value.required == 64

@@ -216,3 +216,106 @@ def test_decode_does_not_sweep_the_tuple_space(model_file, tmp_path, capsys, mon
     monkeypatch.setattr(codec, "_space_index", None)
     assert main(["decode", "--model", str(model_file), "--input", str(code_path)]) == 0
     assert tensor_from_dict(json.loads(capsys.readouterr().out)) == tensor
+
+
+# --- malformed input ends in "error: ...", never a traceback ---------------------------
+
+
+def _not_json(tmp_path, name="broken.json") -> Path:
+    path = tmp_path / name
+    path.write_text('{"order": 3, ')
+    return path
+
+
+def _assert_error(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_validate_model_file_not_json(tmp_path, capsys):
+    _assert_error(["validate", "--model", str(_not_json(tmp_path))], capsys)
+
+
+def test_validate_model_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    _assert_error(["validate", "--model", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("supersymmetric", "false"), ("dim", 2.9), ("order", True), ("components", "1")],
+)
+def test_validate_refuses_coerced_model_fields(model_file, tmp_path, capsys, field, value):
+    doc = json.loads(model_file.read_text())
+    doc[field] = value
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(doc))
+    _assert_error(["validate", "--model", str(path)], capsys)
+
+
+def test_encode_model_file_not_json(tmp_path, capsys):
+    tensor_path = tmp_path / "zero.json"
+    tensor_path.write_text(json.dumps(tensor_to_dict(zero_tensor(3, 2))))
+    _assert_error(_encode_args(_not_json(tmp_path), tensor_path, tmp_path / "z.tcpd"), capsys)
+
+
+def test_encode_input_file_not_json(model_file, tmp_path, capsys):
+    _assert_error(_encode_args(model_file, _not_json(tmp_path), tmp_path / "z.tcpd"), capsys)
+
+
+@pytest.mark.parametrize("gamma", ["abc", "1/x", "0.1", ""])
+def test_encode_malformed_gamma(model_file, tmp_path, capsys, gamma):
+    tensor_path = tmp_path / "zero.json"
+    tensor_path.write_text(json.dumps(tensor_to_dict(zero_tensor(3, 2))))
+    out = tmp_path / "zero.tcpd"
+    _assert_error(_encode_args(model_file, tensor_path, out, gamma=gamma), capsys)
+    assert not out.exists()
+
+
+def test_codebook_malformed_gamma(model_file, capsys):
+    _assert_error(["codebook", "--model", str(model_file), "--gamma", "abc"], capsys)
+
+
+def test_codebook_model_file_not_json(tmp_path, capsys):
+    _assert_error(["codebook", "--model", str(_not_json(tmp_path)), "--gamma", "1/10"], capsys)
+
+
+def _experiment_config(model_file, tmp_path, **changes) -> Path:
+    cfg = {
+        "model": str(model_file),
+        "kind": "threshold",
+        "n_grid": [2],
+        "seed": 21,
+        "out": str(tmp_path / "results" / "thr"),
+    }
+    cfg.update(changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_experiment_config_not_json(tmp_path, capsys):
+    _assert_error(["experiment", "--config", str(_not_json(tmp_path))], capsys)
+
+
+def test_experiment_model_file_not_json(tmp_path, capsys):
+    cfg = _experiment_config(_not_json(tmp_path, "model.json"), tmp_path)
+    _assert_error(["experiment", "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"gamma_grid": ["abc"]},
+        {"seed": "21"},
+        {"trials": 2.5},
+        {"n_grid": [2.0]},
+        {"emit_samples": "false"},
+        {"budget": True},
+    ],
+)
+def test_experiment_malformed_config_field(model_file, tmp_path, capsys, changes):
+    cfg = _experiment_config(model_file, tmp_path, **changes)
+    _assert_error(["experiment", "--config", str(cfg)], capsys)
+    assert not (tmp_path / "results").exists()

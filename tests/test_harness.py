@@ -15,6 +15,7 @@ from cpdzip.experiments import (
     write_results,
 )
 from cpdzip.model import (
+    DEFAULT_BUDGET,
     Alphabet,
     CpdzipError,
     Distribution,
@@ -328,3 +329,53 @@ def test_write_results_row_shape(tmp_path):
     fields = lines[1].split(",")
     assert len(fields) == len(CSV_HEADER)
     assert fields[-1] == ""  # ms column reserved, empty for reproducibility
+
+
+def _config_doc(**changes) -> dict:
+    doc = {"model": "m.json", "kind": "spectrum", "n_grid": [4], "seed": 7, "out": "results/spec"}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"n_grid": [4.0]},
+        {"n_grid": [True]},
+        {"n_grid": 4},
+        {"n_grid": [0]},
+        {"trials": "10"},
+        {"trials": 2.5},
+        {"seed": 7.0},
+        {"seed": None},
+        {"budget": "1000"},
+        {"budget": 0},
+        {"emit_samples": "false"},
+        {"emit_samples": 1},
+        {"model": 5},
+        {"kind": ["spectrum"]},
+        {"out": None},
+        {"gamma_grid": "1/10"},
+        {"gamma_grid": [0.1]},
+    ],
+)
+def test_experiment_config_fields_are_never_coerced(tmp_path, changes):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(**changes)))
+    with pytest.raises(CpdzipError):
+        load_experiment_config(path)
+
+
+def test_experiment_config_not_json_is_a_cpdzip_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2")
+    with pytest.raises(CpdzipError, match="not a JSON document"):
+        load_experiment_config(path)
+
+
+def test_experiment_config_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc()))
+    cfg = load_experiment_config(path)
+    assert (cfg.trials, cfg.budget, cfg.emit_samples) == (1, DEFAULT_BUDGET, False)
+    assert cfg.gamma_grid == (Fraction(1, 10),)

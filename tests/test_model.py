@@ -182,3 +182,56 @@ def test_save_and_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(m, path)
     assert load_model(path) == m
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("supersymmetric", "false"),
+        ("supersymmetric", 0),
+        ("supersymmetric", None),
+        ("dim", 2.9),
+        ("dim", 2.0),
+        ("dim", "2"),
+        ("dim", True),
+        ("order", 3.0),
+        ("components", False),
+        ("alphabets", "-1,1"),
+        ("alphabets", [["-1/1", "1/1"], "-1,1", ["-1/1", "1/1"]]),
+        ("dists", {"0": []}),
+        ("dists", [[["1/2", "1/2"], ["1/2", "1/2"]], [["1/2", "1/2"], "1/2"], [["1/2", "1/2"], ["1/2", "1/2"]]]),
+    ],
+)
+def test_model_fields_are_never_coerced(field, value):
+    from cpdzip.model import ModelValidationError
+
+    doc = model_to_dict(cubic_sign_model(2, uniform(2), uniform(2)))
+    doc[field] = value
+    with pytest.raises(ModelValidationError, match="malformed model document"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["order", "dim", "components", "alphabets", "dists"])
+def test_model_missing_field_is_refused(field):
+    from cpdzip.model import ModelValidationError
+
+    doc = model_to_dict(cubic_sign_model(2, uniform(2), uniform(2)))
+    del doc[field]
+    with pytest.raises(ModelValidationError, match=field):
+        model_from_dict(doc)
+
+
+def test_model_supersymmetric_defaults_to_false():
+    m = bilinear_sign_model(3, uniform(2), uniform(2), uniform(2), uniform(2))
+    doc = model_to_dict(m)
+    del doc["supersymmetric"]
+    assert model_from_dict(doc) == m
+
+
+def test_load_model_refuses_a_file_that_is_not_json(tmp_path):
+    from cpdzip.model import CpdzipError, load_model
+
+    path = tmp_path / "model.json"
+    path.write_text("{")
+    with pytest.raises(CpdzipError, match="not a JSON document"):
+        load_model(path)

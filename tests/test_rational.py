@@ -60,3 +60,9 @@ def test_zero_denominator_is_a_cpdzip_error(text):
 def test_malformed_scalar_is_a_cpdzip_error(value):
     with pytest.raises(ScalarError):
         parse_scalar(value)
+
+
+@pytest.mark.parametrize("text", ["", "1/", "/2", "1/2/3", "x", "abc", "0.1", "1/x"])
+def test_to_fraction_malformed_string_is_a_scalar_error(text):
+    with pytest.raises(ScalarError):
+        to_fraction(text)

@@ -270,3 +270,97 @@ def test_mode_space_size():
     a = Alphabet((-1, 0, 1))
     m3 = ModelSpec(2, 2, 2, (a, a), ((uniform(3), uniform(3)),) * 2)
     assert mode_space_size(m3, 2) == 3**4
+
+
+# --- the type path against matrix-by-matrix enumeration -------------------------------
+
+SIGN = Alphabet((-1, 1))
+SKEWED_PAIR = (SKEWED, Distribution((Fraction(2, 3), Fraction(1, 3))))
+GAMMA_STAR_7 = Fraction(1595910, 9780433)  # |D|/n of a 735-matrix family at n=7, within 1e-14
+
+
+def one_mode_model(n, alphabet, dists):
+    return ModelSpec(1, n, len(dists), (alphabet,), (tuple(dists),))
+
+
+def assert_type_path_matches_oracle(m, p):
+    typical = [
+        (pos, x) for pos, x in enumerate(iter_mode_matrices(m, 1)) if is_typical_matrix(x, m, p)
+    ]
+    enum = enumerate_typical(m, p, 1)
+    assert enum.positions == tuple(pos for pos, _ in typical)
+    assert enum.matrices == tuple(x for _, x in typical)
+    expected = sum((matrix_probability(x, m) for _, x in typical), Fraction(0))
+    assert typicality_mass(m, p, 1) == expected
+    return enum
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_type_path_matches_oracle_skewed_pair(n):
+    m = one_mode_model(n, SIGN, SKEWED_PAIR)
+    for gamma in (Fraction(1, 10), Fraction(1, 4)):
+        enum = assert_type_path_matches_oracle(m, TypicalityParams(gamma, n))
+        assert 0 < enum.count < enum.space_size
+
+
+def test_type_path_matches_oracle_zero_probability_symbol():
+    a = Alphabet((-1, 0, 1))
+    dists = (
+        Distribution((Fraction(1, 2), 0, Fraction(1, 2))),
+        Distribution((Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))),
+    )
+    for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(50)):
+        enum = assert_type_path_matches_oracle(one_mode_model(3, a, dists), TypicalityParams(gamma, 3))
+        assert all(row[0] != 0 for x in enum.matrices for row in x.rows)
+
+
+def test_type_path_matches_oracle_fractional_alphabet():
+    a = Alphabet((Fraction(-1, 2), Fraction(1, 3), 2))
+    dists = (
+        Distribution((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+        Distribution((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))),
+    )
+    for gamma in (Fraction(1, 10), Fraction(1, 3)):
+        assert_type_path_matches_oracle(one_mode_model(3, a, dists), TypicalityParams(gamma, 3))
+
+
+def test_type_path_matches_oracle_uniform_columns():
+    # balanced column types give empty deviation terms: typical without a float
+    m = one_mode_model(4, SIGN, (uniform(2), uniform(2)))
+    enum = assert_type_path_matches_oracle(m, TypicalityParams(Fraction(1, 100), 4))
+    assert enum.count == enum.space_size
+
+
+def test_type_path_matches_oracle_on_the_interval_boundary(monkeypatch):
+    import cpdzip.typicality as typicality
+
+    calls = []
+    sign = typicality._interval_sign
+    monkeypatch.setattr(typicality, "_interval_sign", lambda v: calls.append(v) or sign(v))
+    m = one_mode_model(7, SIGN, SKEWED_PAIR)
+    enum = assert_type_path_matches_oracle(m, TypicalityParams(GAMMA_STAR_7, 7))
+    assert calls  # the boundary family was decided in interval arithmetic
+    assert enum.count == 2485
+
+
+def test_typicality_mass_counts_type_tuples_not_the_mode_space(monkeypatch):
+    import cpdzip.typicality as typicality
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("typicality_mass must not enumerate matrices")
+
+    monkeypatch.setattr(typicality, "iter_mode_matrices", forbidden)
+    monkeypatch.setattr(typicality, "enumerate_typical", forbidden)
+    m = one_mode_model(4, SIGN, SKEWED_PAIR)  # 5 column types, 25 type tuples, 256 matrices
+    p = TypicalityParams(Fraction(1, 10), 4)
+    with pytest.raises(BudgetExceededError) as exc:
+        typicality_mass(m, p, 1, budget=24)
+    assert exc.value.required == 25
+    assert 0 < typicality_mass(m, p, 1, budget=25) < 1
+
+
+def test_typicality_mass_at_n64():
+    m = one_mode_model(64, SIGN, SKEWED_PAIR)  # a 2^128-matrix mode space
+    mass = typicality_mass(m, TypicalityParams(Fraction(1, 10), 64), 1)
+    assert 0 < mass <= 1
+    assert typicality_mass(m, TypicalityParams(Fraction(50), 64), 1) == 1
