@@ -186,19 +186,22 @@ class UniquenessCertificate:
 
 
 def _column_ratio(ref_col, other_col) -> Fraction | None:
-    """lambda with other = lambda * ref, or None; zero columns yield None."""
-    lam = None
+    """lambda with other = lambda * ref, or None; zero columns yield None.
+
+    Pairs are compared by cross-multiplication against the first nonzero
+    pair (a0, b0); the one Fraction b0 / a0 is built once the columns match.
+    """
+    a0 = b0 = None
     for a, b in zip(ref_col, other_col):
         if a == 0 and b == 0:
             continue
         if a == 0 or b == 0:
             return None
-        q = Fraction(b) / Fraction(a)
-        if lam is None:
-            lam = q
-        elif lam != q:
+        if a0 is None:
+            a0, b0 = a, b
+        elif b * a0 != b0 * a:
             return None
-    return lam
+    return None if a0 is None else Fraction(b0) / Fraction(a0)
 
 
 def find_perm_scaling(ref: FactorTuple, other: FactorTuple) -> PermScalingRelation | None:

@@ -38,3 +38,10 @@ def json_field(data, name: str, kind: type, default=_REQUIRED):
     if type(value) is not kind:
         raise DocumentError(f"field {name!r} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def refuse_unknown_fields(data, known) -> None:
+    """Raise DocumentError if the object ``data`` has a field outside ``known``."""
+    unknown = sorted(set(data) - set(known)) if isinstance(data, dict) else []
+    if unknown:
+        raise DocumentError(f"unknown field(s) {', '.join(map(repr, unknown))}")

@@ -29,7 +29,7 @@ from .analysis import (
     UnsupportedModelError,
 )
 from .codec import length_bound_nats, measure_scheme
-from .errors import DocumentError, json_field, read_json
+from .errors import DocumentError, json_field, read_json, refuse_unknown_fields
 from .model import (
     BudgetExceededError,
     CpdzipError,
@@ -80,20 +80,29 @@ class ExperimentConfig:
             raise CpdzipError("budget must be >= 1")
 
 
+_CONFIG_FIELDS = ("model", "kind", "n_grid", "gamma_grid", "trials", "seed", "out", "budget",
+                  "emit_samples")
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a config document; every field must have its JSON type (integers
-    for ``n_grid``, ``trials``, ``seed`` and ``budget``, a boolean for
-    ``emit_samples``), never a value coerced to it."""
+    for ``n_grid``, ``trials``, ``seed`` and ``budget``, strings for
+    ``gamma_grid``, a boolean for ``emit_samples``), never a value coerced to
+    it, and no other field is allowed."""
     data = read_json(path)
     try:
+        refuse_unknown_fields(data, _CONFIG_FIELDS)
         n_grid = json_field(data, "n_grid", list)
         if not all(type(n) is int for n in n_grid):
             raise DocumentError(f"field 'n_grid' must list integers, got {n_grid!r}")
+        gamma_grid = json_field(data, "gamma_grid", list, ["1/10"])
+        if not all(type(g) is str for g in gamma_grid):
+            raise DocumentError(f"field 'gamma_grid' must list strings, got {gamma_grid!r}")
         return ExperimentConfig(
             model_path=json_field(data, "model", str),
             kind=json_field(data, "kind", str),
             n_grid=tuple(n_grid),
-            gamma_grid=tuple(map(to_fraction, json_field(data, "gamma_grid", list, ["1/10"]))),
+            gamma_grid=tuple(map(to_fraction, gamma_grid)),
             trials=json_field(data, "trials", int, 1),
             seed=json_field(data, "seed", int),
             out=json_field(data, "out", str),

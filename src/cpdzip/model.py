@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CpdzipError, DocumentError, json_field, read_json
+from .errors import CpdzipError, DocumentError, json_field, read_json, refuse_unknown_fields
 from .rational import Scalar, compact, rational_str, to_fraction
 
 
@@ -224,10 +224,15 @@ def model_to_dict(m: ModelSpec) -> dict:
     }
 
 
+_MODEL_FIELDS = ("order", "dim", "components", "supersymmetric", "alphabets", "dists")
+
+
 def model_from_dict(data: dict) -> ModelSpec:
     """Read a model document.  ``order``, ``dim`` and ``components`` must be
-    JSON integers and ``supersymmetric``, if present, a JSON boolean."""
+    JSON integers and ``supersymmetric``, if present, a JSON boolean; no other
+    field is allowed."""
     try:
+        refuse_unknown_fields(data, _MODEL_FIELDS)
         rows = json_field(data, "alphabets", list)
         dist_rows = json_field(data, "dists", list)
         if not all(type(row) is list for row in rows):

@@ -1,9 +1,11 @@
 """Exact dense tensors, factor matrices, and rational linear algebra.
 
-All arithmetic is exact: entries are ints or Fractions, equality is entrywise,
-and ranks are computed by fraction-free (Bareiss) elimination with no
-tolerances.  Matrices passed to the linear-algebra helpers are plain sequences
-of row sequences.
+All arithmetic is exact: entries are ints or Fractions and equality is
+entrywise.  Rank and linear solve use fraction-free (Bareiss) elimination:
+each row is scaled to ints by the lcm of its denominators, every division is
+exact and checked, and a Fraction is built only for a non-integral solution
+entry.  There are no tolerances.  Matrices passed to the linear-algebra
+helpers are plain sequences of row sequences.
 
 Integral values are held as ints.  Tensors and factor matrices take their
 entries as given; the places where an integral Fraction can arise (JSON and
@@ -337,14 +339,30 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list[Scalar]]:
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
-    # Row scaling by the denominator lcm preserves rank.
+    """Fresh int rows, each one scaled by the lcm of its denominators.
+
+    Scaling a row by a nonzero constant keeps both the rank of a matrix and
+    the solutions of a linear system.
+    """
     out = []
     for row in m:
+        if all(type(v) is int for v in row):
+            out.append(list(row))
+            continue
         lcm = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
-        if lcm == 1:
-            out.append([int(v) if isinstance(v, Fraction) else v for v in row])
-        else:
-            out.append([int(v * lcm) for v in row])
+        out.append([int(v * lcm) for v in row])
+    return out
+
+
+def _bareiss_row(row: list[int], top: list[int], col: int, prev: int) -> list[int]:
+    """(top[col] * row - row[col] * top) / prev: one fraction-free elimination
+    step of ``row`` by the pivot row ``top``; the division must be exact."""
+    pivot, f = top[col], row[col]
+    out = [pivot * x - f * y for x, y in zip(row, top)]
+    if prev != 1:
+        if any(v % prev for v in out):
+            raise ArithmeticError("Bareiss exact division failed")
+        out = [v // prev for v in out]
     return out
 
 
@@ -357,27 +375,14 @@ def rank_exact(m: Matrix) -> int:
     rank = 0
     prev = 1
     for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if rows[i][col]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(rank, n_rows) if rows[i][col]), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
         top = rows[rank]
         for i in range(rank + 1, n_rows):
-            row = rows[i]
-            f = row[col]
-            for j in range(col + 1, n_cols):
-                num = pivot * row[j] - f * top[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("Bareiss exact division failed")
-                row[j] = q
-            row[col] = 0
-        prev = pivot
+            rows[i] = _bareiss_row(rows[i], top, col, prev)
+        prev = top[col]
         rank += 1
         if rank == n_rows:
             break
@@ -419,41 +424,36 @@ def kruskal_condition(t: FactorTuple) -> bool:
 def solve_exact(a: Matrix, b: Matrix) -> list[list[Scalar]] | None:
     """Solve A X = B exactly for A with full column rank.
 
-    Returns None when the system is inconsistent.  Gaussian elimination over
-    Fractions on the augmented matrix; pivots always exist by the rank
-    assumption.
+    Returns None when A is not of full column rank or the system is
+    inconsistent.  Fraction-free (Bareiss) Gauss-Jordan elimination on the
+    augmented rows [A | B], each scaled to ints: with p_k the pivot of step k
+    (p_-1 = 1), step k sets every other row to
+    (p_k row_i - row_i[k] row_k) / p_(k-1), an exact division.  Afterwards the
+    left part of the pivot rows is d times the identity, d the last pivot, so
+    row k of X is the right-hand side of pivot row k over d.  Solution entries
+    are ints where integral and Fractions in lowest terms otherwise; no
+    Fraction is built for int input and an integral solution.
     """
-    n_rows = len(a)
+    if len(a) != len(b):
+        raise ShapeError(f"A has {len(a)} rows but B has {len(b)}")
     n_cols = len(a[0]) if a else 0
-    width = len(b[0]) if b else 0
-    aug = [
-        [Fraction(a[i][j]) for j in range(n_cols)] + [Fraction(b[i][k]) for k in range(width)]
-        for i in range(n_rows)
-    ]
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if aug[i][col]:
-                pivot_row = i
-                break
+    rows = _integer_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    prev = 1
+    for k in range(n_cols):
+        pivot_row = next((i for i in range(k, len(rows)) if rows[i][k]), None)
         if pivot_row is None:
             return None  # not full column rank
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        piv = aug[rank][col]
-        aug[rank] = [v / piv for v in aug[rank]]
-        for i in range(n_rows):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    # consistency: rows beyond the rank must be entirely zero
-    for i in range(rank, n_rows):
-        if any(aug[i][n_cols + k] for k in range(width)):
-            return None
-    return [[compact(aug[r][n_cols + k]) for k in range(width)] for r in range(rank)]
+        rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        top = rows[k]
+        rows = [row if i == k else _bareiss_row(row, top, k, prev) for i, row in enumerate(rows)]
+        prev = top[k]
+    # consistency: the right-hand sides of the rows below the rank must vanish
+    if any(any(row[n_cols:]) for row in rows[n_cols:]):
+        return None
+    return [
+        [v // prev if v % prev == 0 else Fraction(v, prev) for v in row[n_cols:]]
+        for row in rows[:n_cols]
+    ]
 
 
 # --- JSON and binary dumps ----------------------------------------------------

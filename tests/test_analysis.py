@@ -8,6 +8,8 @@ from cpdzip.analysis import (
     PermScalingRelation,
     UnsupportedModelError,
     WRelation,
+    _full_rank_cogenerators,
+    _tuple_sort_key,
     banded_rows_matrix_tensor,
     bilinear_sign_model,
     brute_force_zero_prob,
@@ -323,6 +325,102 @@ def test_uniqueness_order2_w_relation():
     for rel in cert.relations:
         assert isinstance(rel, WRelation)
         assert rank_exact(rel.w) == 2
+
+
+def fractional_model(order, n, alphabets):
+    return ModelSpec(order, n, 2, alphabets, tuple((uniform(a.size),) * 2 for a in alphabets))
+
+
+HALVES = Alphabet((-1, Fraction(1, 2), 1))
+NEG_HALF = Alphabet((Fraction(-1, 2), 1))
+SIGNS = Alphabet((-1, 1))
+
+
+@pytest.mark.parametrize(
+    "m, trial",
+    [
+        (fractional_model(3, 2, (HALVES, SIGNS, NEG_HALF)), 0),
+        (fractional_model(3, 2, (HALVES, SIGNS, NEG_HALF)), 11),
+        (fractional_model(2, 3, (HALVES, SIGNS)), 0),
+        (fractional_model(2, 3, (HALVES, SIGNS)), 1),
+    ],
+)
+def test_pruned_census_matches_brute_force_off_the_sign_alphabet(m, trial):
+    # Fractional alphabets send the pruned search's solves and the column
+    # ratios through their Fraction branches.
+    t = cpd_compose(full_rank_sample(m, 7, trial))
+    brute = count_factorizations(t, m, full_rank_only=True, budget=1 << 20)
+    pruned = _full_rank_cogenerators(t, m)
+    assert len(pruned) >= 2
+    assert pruned == sorted(brute.full_rank_tuples, key=_tuple_sort_key)
+    assert any(type(v) is Fraction for x in pruned[0].matrices for row in x.rows for v in row)
+    cert = uniqueness_census(t, m, budget=1)  # below the space size: the pruned path
+    assert cert.certified and cert.full_rank_count == len(pruned)
+    for rel in cert.relations:
+        if m.order == 2:
+            assert isinstance(rel, WRelation)
+            continue
+        assert all(type(lam) is Fraction for lams in rel.lambdas for lam in lams)
+
+
+def test_pruned_census_finds_non_integral_column_ratios():
+    m = fractional_model(3, 2, (HALVES, SIGNS, NEG_HALF))
+    cert = uniqueness_census(cpd_compose(full_rank_sample(m, 7, 11)), m, budget=1)
+    lambdas = {lam for rel in cert.relations for lams in rel.lambdas for lam in lams}
+    assert lambdas == {Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1)}
+
+
+PINNED_REFERENCE = (
+    ((-1, -1), (-1, -1), (-1, 1), (1, 1)),
+    ((-1, -1), (-1, -1), (1, -1), (-1, -1)),
+    ((1, -1), (-1, 1), (1, 1), (-1, 1)),
+)
+PINNED_RELATIONS = [  # (permutation, lambdas per mode)
+    ((0, 1), ((1, 1), (1, -1), (1, -1))),
+    ((0, 1), ((1, 1), (-1, 1), (-1, 1))),
+    ((0, 1), ((1, 1), (-1, -1), (-1, -1))),
+    ((1, 0), ((1, 1), (1, 1), (1, 1))),
+    ((1, 0), ((1, 1), (1, -1), (1, -1))),
+    ((1, 0), ((1, 1), (-1, 1), (-1, 1))),
+    ((1, 0), ((1, 1), (-1, -1), (-1, -1))),
+    ((0, 1), ((1, -1), (1, 1), (1, -1))),
+    ((0, 1), ((1, -1), (1, -1), (1, 1))),
+    ((0, 1), ((1, -1), (-1, 1), (-1, -1))),
+    ((0, 1), ((1, -1), (-1, -1), (-1, 1))),
+    ((1, 0), ((1, -1), (1, 1), (1, -1))),
+    ((1, 0), ((1, -1), (1, -1), (1, 1))),
+    ((1, 0), ((1, -1), (-1, 1), (-1, -1))),
+    ((1, 0), ((1, -1), (-1, -1), (-1, 1))),
+    ((1, 0), ((-1, 1), (1, 1), (-1, 1))),
+    ((1, 0), ((-1, 1), (1, -1), (-1, -1))),
+    ((1, 0), ((-1, 1), (-1, 1), (1, 1))),
+    ((1, 0), ((-1, 1), (-1, -1), (1, -1))),
+    ((0, 1), ((-1, 1), (1, 1), (-1, 1))),
+    ((0, 1), ((-1, 1), (1, -1), (-1, -1))),
+    ((0, 1), ((-1, 1), (-1, 1), (1, 1))),
+    ((0, 1), ((-1, 1), (-1, -1), (1, -1))),
+    ((1, 0), ((-1, -1), (1, 1), (-1, -1))),
+    ((1, 0), ((-1, -1), (1, -1), (-1, 1))),
+    ((1, 0), ((-1, -1), (-1, 1), (1, -1))),
+    ((1, 0), ((-1, -1), (-1, -1), (1, 1))),
+    ((0, 1), ((-1, -1), (1, 1), (-1, -1))),
+    ((0, 1), ((-1, -1), (1, -1), (-1, 1))),
+    ((0, 1), ((-1, -1), (-1, 1), (1, -1))),
+    ((0, 1), ((-1, -1), (-1, -1), (1, 1))),
+]
+
+
+def test_uniqueness_certificate_is_pinned_in_full():
+    m = generic_sign_model(4)
+    cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
+    assert (cert.full_rank_count, cert.bound, cert.violations) == (32, 32, ())
+    assert tuple(x.rows for x in cert.reference.matrices) == PINNED_REFERENCE
+    assert [(rel.permutation, rel.lambdas) for rel in cert.relations] == PINNED_RELATIONS
+    for rel in cert.relations:
+        assert all(type(lam) is Fraction for lams in rel.lambdas for lam in lams)
+        for ref, other, lams in zip(cert.reference.matrices, rel.other.matrices, rel.lambdas):
+            for r, lam in enumerate(lams):
+                assert other.column(r) == tuple(lam * v for v in ref.column(rel.permutation[r]))
 
 
 def test_uniqueness_census_requires_full_rank_generator():

@@ -123,3 +123,27 @@ def test_model_schema_and_parser_agree(doc):
 def test_experiment_schema_and_parser_agree(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "retyped-cfg.json"
     assert EXPERIMENT_SCHEMA.is_valid(doc) == parser_accepts_experiment(doc, path)
+
+
+@pytest.mark.parametrize("name", ["name", "Order", ""])
+def test_unknown_model_field_is_refused_by_schema_and_parser(name):
+    for base in MODEL_DOCS:
+        doc = dict(base, **{name: 1})
+        assert not MODEL_SCHEMA.is_valid(doc)
+        assert not parser_accepts_model(doc)
+
+
+@pytest.mark.parametrize("name", ["comment", "gamma", ""])
+def test_unknown_experiment_field_is_refused_by_schema_and_parser(tmp_path, name):
+    for base in EXPERIMENT_DOCS:
+        doc = dict(base, **{name: "x"})
+        assert not EXPERIMENT_SCHEMA.is_valid(doc)
+        assert not parser_accepts_experiment(doc, tmp_path / "cfg.json")
+
+
+@pytest.mark.parametrize("grid", [[1], ["1/10", 2], [0.5]])
+def test_non_string_gamma_grid_item_is_refused_by_schema_and_parser(tmp_path, grid):
+    for base in EXPERIMENT_DOCS:
+        doc = dict(base, gamma_grid=grid)
+        assert not EXPERIMENT_SCHEMA.is_valid(doc)
+        assert not parser_accepts_experiment(doc, tmp_path / "cfg.json")

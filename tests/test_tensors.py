@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdzip import tensors
 from cpdzip.model import Alphabet
+from cpdzip.rational import compact
 from cpdzip.tensors import (
     DocumentError,
     ExactTensor,
@@ -416,6 +418,104 @@ def test_solve_exact_detects_inconsistency():
     a = [[1, 0], [0, 1], [1, 1]]
     b = [[1], [1], [3]]  # inconsistent: 1 + 1 != 3
     assert solve_exact(a, b) is None
+
+
+def solve_over_fractions(a, b):
+    """Oracle: Gauss-Jordan elimination over Fractions on [A | B]."""
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    width = len(b[0]) if b else 0
+    aug = [[Fraction(v) for v in a[i]] + [Fraction(v) for v in b[i]] for i in range(n_rows)]
+    rank = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(rank, n_rows) if aug[i][col]), None)
+        if pivot_row is None:
+            return None
+        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
+        piv = aug[rank][col]
+        aug[rank] = [v / piv for v in aug[rank]]
+        for i in range(n_rows):
+            if i != rank and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[rank])]
+        rank += 1
+    if any(aug[i][n_cols + k] for i in range(rank, n_rows) for k in range(width)):
+        return None
+    return [[compact(aug[r][n_cols + k]) for k in range(width)] for r in range(rank)]
+
+
+def compact_fraction(num, den):
+    return compact(Fraction(num, den))
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, B) with int or fractional entries; A of full or deficient column
+    rank, B = A X, A X with one entry perturbed, or unrelated to A."""
+    entry = (
+        st.integers(-4, 4)
+        if draw(st.booleans())
+        else st.builds(compact_fraction, st.integers(-4, 4), st.integers(1, 4))
+    )
+    n_rows = draw(st.integers(1, 7))
+    n_cols = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    a = matrix(n_rows, n_cols)
+    if n_cols > 1 and draw(st.booleans()):  # deficient: last column depends on the others
+        coeffs = [draw(entry) for _ in range(n_cols - 1)]
+        for row in a:
+            row[-1] = sum(c * v for c, v in zip(coeffs, row[:-1]))
+    kind = draw(st.sampled_from(["product", "perturbed", "free"]))
+    if kind == "free":
+        b = matrix(n_rows, width)
+    else:
+        b = mat_mul(a, matrix(n_cols, width))
+        if kind == "perturbed":
+            i, k = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+            b[i][k] += draw(st.integers(1, 3))
+    return a, b
+
+
+def entry_types(sol):
+    return None if sol is None else [[type(v) for v in row] for row in sol]
+
+
+@given(linear_systems())
+@settings(max_examples=400, deadline=None)
+def test_solve_exact_matches_fraction_gauss_jordan(system):
+    a, b = system
+    expected = solve_over_fractions(a, b)
+    got = solve_exact(a, b)
+    assert got == expected
+    assert entry_types(got) == entry_types(expected)
+
+
+def test_solve_exact_refuses_row_count_mismatch():
+    with pytest.raises(ShapeError):
+        solve_exact([[1], [2]], [[1]])
+    with pytest.raises(ShapeError):
+        solve_exact([[1]], [[1], [2]])
+
+
+def test_int_linear_algebra_builds_no_fraction(monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(tensors, "Fraction", CountingFraction)
+    a = [[1, -1], [1, 1], [-1, 1], [2, 3]]
+    assert rank_exact(a) == 2
+    assert solve_exact(a, mat_mul(a, [[3, -1], [2, 5]])) == [[3, -1], [2, 5]]
+    assert built == []
+    assert solve_exact([[2]], [[1]]) == [[Fraction(1, 2)]]
+    assert built == [(1, 2)]
 
 
 # --- serialization -------------------------------------------------------------------
