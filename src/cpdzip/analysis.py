@@ -23,7 +23,7 @@ from .model import (
     ModelSpec,
     uniform,
 )
-from .rational import Scalar, pack_scalars
+from .rational import Scalar
 from .tensors import (
     ExactTensor,
     FactorMatrix,
@@ -32,16 +32,17 @@ from .tensors import (
     mat_mul,
     rank_exact,
     solve_exact,
-    sweep_compositions,
+    sweep_keys,
     transpose,
     unfold,
+    zero_tensor,
 )
 from .typicality import (
     iter_mode_matrices,
     matrix_probability,
     mode_space_size,
     mode_spaces,
-    tuple_probabilities,
+    tuple_weights,
 )
 
 
@@ -121,7 +122,7 @@ def count_factorizations(
     if t.order != m.order or t.dim != m.dim:
         raise CpdzipError("target tensor shape does not match the model")
     spaces = mode_spaces(m, budget, "factorization census")
-    target = list(t.entries)
+    target = t.key()
 
     total = 0
     full_rank = 0
@@ -129,8 +130,8 @@ def count_factorizations(
     full_rank_tuples: list[FactorTuple] = []
     r = m.components
 
-    for mats, entries in zip(product(*spaces), sweep_compositions(spaces, m.order)):
-        if entries != target:
+    for mats, key in zip(product(*spaces), sweep_keys(spaces, m.order)):
+        if key != target:
             continue
         total += 1
         ft = FactorTuple(_replicate(mats[0], m.order) if m.supersymmetric else mats)
@@ -235,7 +236,7 @@ def find_perm_scaling(ref: FactorTuple, other: FactorTuple) -> PermScalingRelati
             lams.append(lam)
         lambdas.append(tuple(lams))
     for rc in range(r_count):
-        if math.prod((lambdas[i][rc] for i in range(ref.order)), start=Fraction(1)) != 1:
+        if math.prod(lambdas[i][rc] for i in range(ref.order)) != 1:
             return None
     return PermScalingRelation(other, tuple(permutation), tuple(lambdas))
 
@@ -272,7 +273,8 @@ def _equivalence_classes(tuples: list[FactorTuple]) -> tuple[tuple[int, ...], ..
 
 
 def _tuple_sort_key(ft: FactorTuple):
-    return tuple(Fraction(v) for x in ft.matrices for row in x.rows for v in row)
+    # ints and Fractions compare by value, so the raw scalars order exactly
+    return tuple(v for x in ft.matrices for row in x.rows for v in row)
 
 
 def _column_basis(mat: list[list[Scalar]]) -> list[list[Scalar]]:
@@ -407,34 +409,29 @@ def uniqueness_census(
 # --- the uniqueness bound -------------------------------------------------------
 
 
-def _feasible_scalings(alphabet: Alphabet) -> list[Fraction]:
-    """Nonzero ratios that map the whole alphabet into itself."""
+def _symbol_ratios(alphabet: Alphabet) -> set[Fraction]:
+    """Every ratio b / a of nonzero symbols: the scalings one column can take."""
     nonzero = [Fraction(s) for s in alphabet.symbols if s != 0]
-    ratios = {b / a for a in nonzero for b in nonzero}
-    out = []
-    for lam in sorted(ratios):
-        if all(lam * Fraction(s) in alphabet for s in alphabet.symbols):
-            out.append(lam)
-    return out
+    return {b / a for a in nonzero for b in nonzero}
 
 
 def gamma_bound(m: ModelSpec) -> int:
     """Model-specific upper bound on the number of full-rank tuples per tensor.
 
-    Order >= 3: relations are column permutations with per-mode diagonal
-    scalings of product one, so R! times (number of alphabet-compatible
-    scaling tuples with product 1) per column.  Order 2: relations are
-    invertible W = A^-1 B with A, B invertible R x R alphabet minors, bounded
-    by the squared count of invertible R x R alphabet matrices.
+    Order >= 3: in an essentially unique decomposition (Kruskal 1977) every
+    full-rank tuple is the reference with its columns permuted and column r of
+    mode i scaled by lambda_(i,r), with prod_i lambda_(i,r) = 1.  Both columns
+    are alphabet-valued, so lambda_(i,r) is a ratio of nonzero mode-i symbols;
+    the bound is R! times (number of such ratio tuples with product 1) per
+    column.  It holds for a certified census; ``certified`` itself does not
+    compare the count with it.  Order 2: relations are invertible W = A^-1 B
+    with A, B invertible R x R alphabet minors, bounded by the squared count
+    of invertible R x R alphabet matrices.
     """
     r = m.components
     if m.order >= 3:
-        per_mode = [_feasible_scalings(m.alphabet(i)) for i in range(1, m.order + 1)]
-        per_column = sum(
-            1
-            for lams in product(*per_mode)
-            if math.prod(lams, start=Fraction(1)) == 1
-        )
+        per_mode = [_symbol_ratios(m.alphabet(i)) for i in range(1, m.order + 1)]
+        per_column = sum(1 for lams in product(*per_mode) if math.prod(lams) == 1)
         return math.factorial(r) * per_column**r
     alphabet = m.alphabet(1)
     minors = alphabet.size ** (r * r)
@@ -499,8 +496,10 @@ def prob_zero_tensor(m: ModelSpec) -> Fraction:
 def brute_force_zero_prob(m: ModelSpec, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Oracle: sum of model probabilities of all tuples composing to zero."""
     spaces = mode_spaces(m, budget, "zero-tensor sweep")
-    sweep = zip(sweep_compositions(spaces, m.order), tuple_probabilities(m, spaces))
-    return sum((p for entries, p in sweep if not any(entries)), Fraction(0))
+    zero = zero_tensor(m.order, m.dim).key()
+    weights, denominator = tuple_weights(m, spaces)
+    sweep = zip(sweep_keys(spaces, m.order), weights)
+    return Fraction(sum(w for key, w in sweep if key == zero), denominator)
 
 
 # --- full-rank probability bounds -------------------------------------------------
@@ -583,7 +582,7 @@ def bilinear_census_summary(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, i
     """
     m = bilinear_sign_model(n, uniform(2), uniform(2), uniform(2), uniform(2))
     spaces = mode_spaces(m, budget, "order-2 full census")
-    groups = Counter(map(pack_scalars, sweep_compositions(spaces, 2)))
+    groups = Counter(sweep_keys(spaces, 2))
     return dict(Counter(groups.values()))
 
 
@@ -606,8 +605,8 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
     u2 = uniform(2)
     spaces = mode_spaces(cubic_sign_model(n, u2, u2), budget, "order-3 full census")
     groups: dict[bytes, list[FactorMatrix]] = {}
-    for x, entries in zip(spaces[0], sweep_compositions(spaces, 3)):
-        groups.setdefault(pack_scalars(entries), []).append(x)
+    for x, key in zip(spaces[0], sweep_keys(spaces, 3)):
+        groups.setdefault(key, []).append(x)
     rows = []
     all_ok = True
     for generators in groups.values():
@@ -638,8 +637,6 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
 
 def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[CheckRow]:
     """Reproduce every documented counting and probability identity exactly."""
-    from .tensors import zero_tensor
-
     rows: list[CheckRow] = []
     u2 = uniform(2)
 

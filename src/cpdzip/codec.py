@@ -33,14 +33,13 @@ from .model import (
     model_hash,
     theoretical_threshold,
 )
-from .rational import pack_scalars
 from .tensors import (
     ExactTensor,
     FactorMatrix,
     FactorTuple,
     ShapeError,
     cpd_compose,
-    sweep_compositions,
+    sweep_keys,
     zero_tensor,
 )
 from .typicality import (
@@ -48,7 +47,7 @@ from .typicality import (
     TypicalEnumeration,
     enumerate_typical,
     mode_spaces,
-    tuple_probabilities,
+    tuple_weights,
     typicality_mass,
 )
 
@@ -139,12 +138,14 @@ class Codebook(DecodeBook):
     tensor_to_index: dict[bytes, int]
 
 
-# --- shared composition tables ------------------------------------------------
+# --- shared space tables --------------------------------------------------------
 #
 # Exhaustive sweeps (codebook construction, exact error probability) reuse a
 # per-model-structure index mapping every tuple of the full space to a compact
-# tensor id.  The table depends only on (alphabets, n, N, R, supersymmetric),
-# so uniform and skewed variants of one alphabet share it.
+# tensor id, built from the keys of ``sweep_keys``.  The index depends only on
+# (alphabets, n, N, R, supersymmetric), so uniform and skewed variants of one
+# alphabet share it.  Tensor probabilities are cached per model as int
+# numerators over one common denominator.
 
 
 @dataclass
@@ -157,7 +158,7 @@ class _SpaceIndex:
 
 
 _SPACE_CACHE: dict[tuple, _SpaceIndex] = {}
-_PROB_CACHE: dict[tuple, list[Fraction]] = {}
+_PROB_CACHE: dict[tuple, tuple[list[int], int]] = {}
 _CACHE_CAP = 4
 
 
@@ -184,8 +185,7 @@ def _space_index(m: ModelSpec, budget: int) -> _SpaceIndex:
     spaces = mode_spaces(m, budget, "full tuple-space sweep")
     key_to_id: dict[bytes, int] = {}
     tuple_ids = [
-        key_to_id.setdefault(pack_scalars(entries), len(key_to_id))
-        for entries in sweep_compositions(spaces, m.order)
+        key_to_id.setdefault(key, len(key_to_id)) for key in sweep_keys(spaces, m.order)
     ]
     sizes = tuple(map(len, spaces))
     index = _SpaceIndex(sizes, len(tuple_ids), tuple_ids, list(key_to_id), key_to_id)
@@ -194,19 +194,22 @@ def _space_index(m: ModelSpec, budget: int) -> _SpaceIndex:
     return index
 
 
-def _tensor_probabilities(m: ModelSpec, space: _SpaceIndex, budget: int) -> list[Fraction]:
-    """Total model probability per tensor id, summed over generating tuples."""
+def _tensor_probabilities(
+    m: ModelSpec, space: _SpaceIndex, budget: int
+) -> tuple[list[int], int]:
+    """Total model probability per tensor id, summed over generating tuples,
+    as (int numerators, common denominator)."""
     key = (_structure_key(m), model_hash(m))
     cached = _PROB_CACHE.get(key)
     if cached is not None:
         return cached
-    totals = [Fraction(0)] * len(space.id_keys)
-    spaces = mode_spaces(m, budget, "full tuple-space sweep")
-    for tid, p in zip(space.tuple_ids, tuple_probabilities(m, spaces)):
-        totals[tid] += p
-    _PROB_CACHE[key] = totals
+    totals = [0] * len(space.id_keys)
+    weights, denominator = tuple_weights(m, mode_spaces(m, budget, "full tuple-space sweep"))
+    for tid, w in zip(space.tuple_ids, weights):
+        totals[tid] += w
+    _PROB_CACHE[key] = totals, denominator
     _evict(_PROB_CACHE)
-    return totals
+    return totals, denominator
 
 
 def _full_tuple_index(space: _SpaceIndex, positions) -> int:
@@ -273,9 +276,9 @@ def build_codebook(
         for tid, code_index in _typical_id_map(space, enums).items():
             tensor_to_index[space.id_keys[tid]] = code_index
     elif tuple_count:
-        tuples = sweep_compositions([e.matrices for e in enums], m.order)
-        for code_index, entries in enumerate(tuples):
-            tensor_to_index.setdefault(pack_scalars(entries), code_index)
+        keys = sweep_keys([e.matrices for e in enums], m.order)
+        for code_index, key in enumerate(keys):
+            tensor_to_index.setdefault(key, code_index)
     return Codebook(**vars(book), tensor_to_index=tensor_to_index)
 
 
@@ -424,18 +427,18 @@ def measure_scheme(
     full space must fit the budget.
     """
     space = _space_index(m, budget)
-    probs = _tensor_probabilities(m, space, budget)
+    numerators, denominator = _tensor_probabilities(m, space, budget)
     book = build_decode_book(m, p, budget)
     enums, tuple_count = book.enums, book.tuple_count
     id_map = _typical_id_map(space, enums)
 
-    decodable = sum((probs[tid] for tid in id_map), Fraction(0))
+    decodable = sum(numerators[tid] for tid in id_map)
     if not id_map:
         # empty codebook: only the zero fallback tensor decodes correctly
         zero_id = space.key_to_id.get(zero_tensor(m.order, m.dim).key())
         if zero_id is not None:
-            decodable += probs[zero_id]
-    error = 1 - decodable
+            decodable += numerators[zero_id]
+    error = 1 - Fraction(decodable, denominator)
 
     masses = tuple(typicality_mass(m, p, e.mode, budget) for e in enums)
     mass_bound = 1 - math.prod(masses, start=Fraction(1))

@@ -236,7 +236,7 @@ class _GridPoint:
 
 
 def _rows_threshold(cfg: ExperimentConfig, base: ModelSpec) -> list[ResultRow]:
-    from .codec import build_codebook
+    from .codec import build_decode_book
 
     rows = []
     for n in cfg.n_grid:
@@ -244,12 +244,12 @@ def _rows_threshold(cfg: ExperimentConfig, base: ModelSpec) -> list[ResultRow]:
         for gamma in cfg.gamma_grid:
             p = TypicalityParams(gamma, n)
             with _GridPoint(cfg.kind, n, gamma):
-                cb = build_codebook(m, p, cfg.budget)
+                book = build_decode_book(m, p, cfg.budget)
             rows.append(
                 ResultRow(
                     cfg.kind, n, gamma, "log_M_per_n",
-                    estimate=cb.log_size_nats / n,
-                    exact=Fraction(cb.size),
+                    estimate=book.log_size_nats / n,
+                    exact=Fraction(book.size),
                     bound=length_bound_nats(m, p) / n,
                     stderr=None, trials=None, seed=cfg.seed,
                 )

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DocumentError, json_field
@@ -191,31 +192,37 @@ def cpd_compose(t: FactorTuple | Sequence[FactorMatrix]) -> ExactTensor:
     return ExactTensor(len(mats), mats[0].n, tuple(compose_entries(mats)))
 
 
-def _prefixes(columns, prefix: list[list[Scalar]]) -> Iterator[list[list[Scalar]]]:
-    """Per-component flat expansions of every tuple of the leading modes."""
-    if not columns:
-        yield prefix
+def _khatri_rao_rows(leading, rows: list[tuple]) -> Iterator[list[tuple]]:
+    """Row-major Khatri-Rao rows (one R-tuple each) of every tuple of the
+    leading modes, in product order; ``rows`` is the product so far."""
+    if not leading:
+        yield rows
         return
-    for cols in columns[0]:
-        yield from _prefixes(
-            columns[1:], [[x * y for x in pre for y in col] for pre, col in zip(prefix, cols)]
+    for x in leading[0]:
+        yield from _khatri_rao_rows(
+            leading[1:], [tuple(map(mul, v, row)) for v in rows for row in x.rows]
         )
 
 
-def sweep_compositions(
+def sweep_keys(
     mode_matrices: Sequence[Sequence[FactorMatrix]], order: int
-) -> Iterator[list[Scalar]]:
-    """Flat row-major entries of every factor tuple of a tuple space.
+) -> Iterator[bytes]:
+    """``pack_scalars`` key of the composed tensor of every factor tuple of a
+    tuple space.
 
     ``mode_matrices`` holds one list of matrices per mode; tuples come in
     ``itertools.product(*mode_matrices)`` order, mode 1 most significant.  A
     single list is used in all ``order`` modes (the supersymmetric case).
-    Entries of fractional factors may be integral Fractions; they compare and
-    pack like the equal ints.
+    Each key equals ``pack_scalars(compose_entries(tuple))`` byte for byte.
 
-    Depth-first over modes, the flat rank-one expansions of the R components
-    share their Khatri-Rao prefixes; at the last mode the R terms are summed.
-    Supersymmetric tuples share no prefix, so each is expanded directly.
+    In row-major order the composed entries are n-entry blocks, one per flat
+    index of the leading modes: with v that index's Khatri-Rao row, the block
+    is sum_r v_r * col_r(X_last).  It depends only on (v, X_last), so its
+    packed bytes are memoized per last-mode matrix, and a key is the join of
+    the blocks of its prefix rows (``pack_scalars`` concatenates per-scalar
+    fragments; an integral Fraction packs like the equal int).  The memo holds
+    at most |last mode| x (distinct Khatri-Rao rows) blocks.  Supersymmetric
+    tuples share no prefix, so each is expanded directly and packed.
     """
     if len(mode_matrices) == 1 and order > 1:
         for x in mode_matrices[0]:
@@ -225,30 +232,26 @@ def sweep_compositions(
                 for _ in range(order - 1):
                     term = [a * b for a in term for b in col]
                 acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-            yield acc
+            yield pack_scalars(acc)
         return
-    *leading, last = [[x.columns() for x in mats] for mats in mode_matrices]
+    *leading, last = mode_matrices
     if not last:
         return
-    for prefix in _prefixes(leading, [[1]] * len(last[0])):
-        if len(prefix) == 1:
-            pre = prefix[0]
-            for (col,) in last:
-                yield [x * y for x in pre for y in col]
-            continue
-        for cols in last:
-            acc = None
-            for pre, col in zip(prefix, cols):
-                term = [x * y for x in pre for y in col]
-                acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-            yield acc
+    blocks: list[dict[tuple, bytes]] = [{} for _ in last]
+    getters = [b.__getitem__ for b in blocks]
+    for rows in _khatri_rao_rows(leading, [(1,) * last[0].r]):
+        for v in set(rows).difference(blocks[0]):
+            for x, block in zip(last, blocks):
+                block[v] = pack_scalars([sum(map(mul, v, row)) for row in x.rows])
+        for get in getters:
+            yield b"".join(map(get, rows))
 
 
 def composes_to(matrices: Sequence[FactorMatrix], target: ExactTensor) -> bool:
     """Entrywise comparison with early exit; cheaper than composing fully.
 
-    The sweeps compose with ``sweep_compositions``; this stays as the
-    independent oracle that the tests check the engine against.
+    The sweeps read ``sweep_keys``; this stays as the independent oracle
+    that the tests check the engine against.
     """
     n = matrices[0].n
     order = len(matrices)

@@ -231,7 +231,7 @@ def iter_mode_matrices(m: ModelSpec, mode: int) -> Iterator[FactorMatrix]:
 
 def mode_spaces(m: ModelSpec, budget: int, what: str) -> list[list[FactorMatrix]]:
     """Every matrix of each independent mode, canonical order, for a sweep of
-    the full tuple space (see ``tensors.sweep_compositions``).
+    the full tuple space (see ``tensors.sweep_keys``).
 
     Raises ``BudgetExceededError`` naming ``what`` when the tuple space holds
     more than ``budget`` tuples.
@@ -243,17 +243,32 @@ def mode_spaces(m: ModelSpec, budget: int, what: str) -> list[list[FactorMatrix]
     return [list(iter_mode_matrices(m, i)) for i in modes]
 
 
-def tuple_probabilities(
+def tuple_weights(
     m: ModelSpec, mode_matrices: list[list[FactorMatrix]]
-) -> Iterator[Fraction]:
-    """Exact model probability of every tuple, in the order of
-    ``sweep_compositions(mode_matrices, m.order)``."""
-    probs = [[matrix_probability(x, m) for x in mats] for mats in mode_matrices]
-    inner = probs[-1]
-    for outer in product(*probs[:-1]):
-        base = math.prod(outer, start=Fraction(1))
-        for p in inner:
-            yield base * p
+) -> tuple[Iterator[int], int]:
+    """Exact model probability of every tuple as an int numerator over one
+    common denominator D, in the order of ``sweep_keys(mode_matrices, m.order)``.
+
+    D is the product over modes of the lcm of that mode's matrix-probability
+    denominators, so a tuple's numerator is the product of its matrices'
+    numerators scaled to their mode's lcm, and sums of weights run on ints.
+    """
+    weights = []
+    denominator = 1
+    for mats in mode_matrices:
+        probs = [matrix_probability(x, m) for x in mats]
+        d = math.lcm(*(q.denominator for q in probs))
+        weights.append([q.numerator * (d // q.denominator) for q in probs])
+        denominator *= d
+
+    def sweep() -> Iterator[int]:
+        inner = weights[-1]
+        for outer in product(*weights[:-1]):
+            base = math.prod(outer)
+            for w in inner:
+                yield base * w
+
+    return sweep(), denominator
 
 
 def _column_types(size: int, n: int) -> list[tuple[int, ...]]:

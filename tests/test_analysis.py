@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpdzip.analysis import (
     CheckRow,
@@ -251,10 +253,52 @@ def test_gamma_bound_rank_one_sign():
     assert gamma_bound(m) == 4  # scaling triples with product 1
 
 
-def test_gamma_bound_asymmetric_alphabet_is_r_factorial():
+def test_gamma_bound_asymmetric_alphabet_counts_symbol_ratios():
     a = Alphabet((1, 2))
     m = ModelSpec(3, 4, 2, (a,) * 3, ((U2, U2),) * 3)
-    assert gamma_bound(m) == math.factorial(2)  # only identity scalings feasible
+    # per column: ratio triples from {1/2, 1, 2} with product 1, of which there are 7
+    assert gamma_bound(m) == math.factorial(2) * 7**2
+    # scalings that do not map the whole alphabet into itself still occur:
+    # this tensor has 4 full-rank factorizations, more than R! = 2
+    m2 = ModelSpec(3, 2, 2, (a,) * 3, ((U2, U2),) * 3)
+    rows = (((1, 1), (1, 2)), ((2, 1), (2, 2)), ((1, 2), (2, 1)))
+    t = cpd_compose(FactorTuple(tuple(FactorMatrix(i, x) for i, x in enumerate(rows, 1))))
+    cert = uniqueness_census(t, m2)
+    assert cert.certified
+    assert (cert.full_rank_count, cert.bound) == (4, 98)
+
+
+SMALL_SYMBOLS = (-2, -1, 0, Fraction(1, 2), 1, 2)
+
+
+@st.composite
+def order3_instances(draw):
+    """An order-3 model over small alphabets (zero allowed) whose tuple space
+    is within the brute-force cap, and a tensor of a full-rank tuple."""
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(r, 3 if r == 1 else 2))
+    symbols = st.sets(st.sampled_from(SMALL_SYMBOLS), min_size=2, max_size=3)
+    alphabets = tuple(Alphabet(tuple(sorted(draw(symbols)))) for _ in range(3))
+    m = ModelSpec(3, n, r, alphabets, tuple((uniform(a.size),) * r for a in alphabets))
+    # under the 2^20 brute-force cap, and small enough to keep the test fast
+    assume(math.prod(a.size ** (n * r) for a in alphabets) <= 1 << 18)
+    element = [st.sampled_from(a.symbols) for a in alphabets]
+    mats = tuple(
+        FactorMatrix(i, tuple(tuple(draw(element[i - 1]) for _ in range(r)) for _ in range(n)))
+        for i in (1, 2, 3)
+    )
+    assume(all(rank_exact(x.rows) == r for x in mats))
+    return m, cpd_compose(FactorTuple(mats))
+
+
+@given(order3_instances())
+@settings(max_examples=20, deadline=None)
+def test_gamma_bound_caps_brute_force_counts_of_certified_tensors(instance):
+    m, t = instance
+    cert = uniqueness_census(t, m)  # brute force: the space is within the cap
+    assert cert.bound == gamma_bound(m)
+    if cert.certified:
+        assert cert.full_rank_count <= cert.bound
 
 
 def test_gamma_bound_order2_counts_invertible_minors():

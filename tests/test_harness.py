@@ -170,6 +170,23 @@ def test_run_experiment_threshold_rows_and_bounds(tmp_path):
         assert row["exact"].endswith("/1")  # |M| is an integer rational
 
 
+def test_threshold_experiment_does_not_sweep_the_tuple_space(tmp_path, monkeypatch):
+    from cpdzip import codec
+    from cpdzip.typicality import TypicalityParams
+
+    cfg = _config(tmp_path)
+    sizes = [
+        codec.build_codebook(rank_one_sign_model(n, 3, [U2] * 3), TypicalityParams(gamma, n)).size
+        for n in cfg.n_grid
+        for gamma in cfg.gamma_grid
+    ]
+    monkeypatch.setattr(codec, "_space_index", None)  # |M| needs no sweep
+    _, json_path = run_experiment(cfg)
+    assert [row["exact"] for row in json.loads(json_path.read_text())] == [
+        f"{size}/1" for size in sizes
+    ]
+
+
 def test_run_experiment_rerun_is_byte_identical(tmp_path):
     cfg = _config(tmp_path)
     csv1, json1 = run_experiment(cfg)

@@ -1,8 +1,9 @@
 """Differential tests of the exact sweep engine against per-tuple composition.
 
-``sweep_compositions`` and ``tuple_probabilities`` must agree, tuple by tuple
-and in product order, with ``compose_entries``, ``composes_to`` and products
-of ``matrix_probability``.
+``sweep_keys`` and ``tuple_weights`` must agree, tuple by tuple and in product
+order, with ``pack_scalars(compose_entries(...))``, ``composes_to`` and
+products of ``matrix_probability``; ``measure_scheme``'s error probability
+must equal a plain ``Fraction`` sum over the full tuple space.
 """
 
 import math
@@ -12,6 +13,7 @@ from itertools import product
 import pytest
 
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
+from cpdzip.codec import build_decode_book, measure_scheme
 from cpdzip.model import Alphabet, BudgetExceededError, Distribution, ModelSpec, uniform
 from cpdzip.rational import pack_scalars
 from cpdzip.tensors import (
@@ -19,19 +21,24 @@ from cpdzip.tensors import (
     FactorMatrix,
     compose_entries,
     composes_to,
-    sweep_compositions,
+    cpd_compose,
+    sweep_keys,
+    zero_tensor,
 )
 from cpdzip.typicality import (
+    TypicalityParams,
     matrix_probability,
     mode_space_size,
     mode_spaces,
-    tuple_probabilities,
+    tuple_weights,
 )
 
 U2 = uniform(2)
 SKEWED = Distribution((Fraction(1, 4), Fraction(3, 4)))
 FRACTIONAL = Alphabet((Fraction(-1, 2), Fraction(1, 3), 2))
 THIRDS = Distribution((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+HALF_TWO = Alphabet((Fraction(1, 2), 2))
+FIFTHS = Distribution((Fraction(1, 5), Fraction(4, 5)))
 
 MODELS = {
     "rank-one order 3": rank_one_sign_model(2, 3, [SKEWED, U2, SKEWED]),
@@ -39,6 +46,11 @@ MODELS = {
     "cubic supersymmetric": cubic_sign_model(3, SKEWED, U2),
     # products such as (-1/2) * 2 give integral Fractions inside the sweep
     "fractional alphabet": ModelSpec(2, 2, 2, (FRACTIONAL,) * 2, ((THIRDS, THIRDS),) * 2),
+    # Khatri-Rao rows such as (1/2 * 2, 2 * 2) and blocks such as 1/2 * 2 + 2 * 1/2
+    # hold integral Fractions
+    "fractional order 3 R=2": ModelSpec(
+        3, 2, 2, (HALF_TWO,) * 3, ((FIFTHS, U2), (U2, FIFTHS), (FIFTHS, FIFTHS))
+    ),
 }
 
 
@@ -54,31 +66,94 @@ def replicated_tuples(m, spaces):
 def test_sweep_matches_per_tuple_composition(name):
     m = MODELS[name]
     spaces = mode_spaces(m, 1 << 20, "test sweep")
-    swept = list(sweep_compositions(spaces, m.order))
+    keys = list(sweep_keys(spaces, m.order))
     tuples = list(replicated_tuples(m, spaces))
     space = math.prod(mode_space_size(m, i) for i in range(1, m.independent_matrices + 1))
-    assert len(swept) == len(tuples) == space
+    assert len(keys) == len(tuples) == space
     previous = None
-    for mats, entries in zip(tuples, swept):
+    for mats, key in zip(tuples, keys):
         composed = compose_entries(mats)
-        assert entries == composed
-        assert pack_scalars(entries) == pack_scalars(composed)
-        assert composes_to(mats, ExactTensor(m.order, m.dim, tuple(composed)))
+        assert key == pack_scalars(composed)
+        tensor = ExactTensor(m.order, m.dim, tuple(composed))
+        assert key == tensor.key()
+        assert composes_to(mats, tensor)
         if previous is not None:
-            assert composes_to(mats, previous) == (entries == list(previous.entries))
-        previous = ExactTensor(m.order, m.dim, tuple(composed))
+            assert composes_to(mats, previous) == (key == previous.key())
+        previous = tensor
+
+
+def test_fractional_sweep_meets_integral_fractions():
+    # Products such as 1/2 * 2 make the sweep's rows and blocks hold integral
+    # Fractions, which must pack like the equal ints for the keys to match
+    # ``cpd_compose``.
+    m = MODELS["fractional order 3 R=2"]
+    spaces = mode_spaces(m, 1 << 20, "test sweep")
+    keys = set(sweep_keys(spaces, m.order))
+    half = Fraction(1, 2)
+    rows = (((half, 2), (2, 2)), ((2, half), (2, 2)), ((2, 2), (2, half)))
+    composed = cpd_compose([FactorMatrix(i, x) for i, x in enumerate(rows, 1)])
+    assert {type(v) for v in composed.entries} == {int, Fraction}
+    assert composed.key() in keys
+
+
+def test_sweep_keys_of_an_empty_last_mode():
+    m = MODELS["rank-one order 3"]
+    spaces = mode_spaces(m, 1 << 20, "test sweep")
+    assert list(sweep_keys(spaces[:-1] + [[]], m.order)) == []
+    assert list(sweep_keys([[]] + spaces[1:], m.order)) == []
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_tuple_probabilities_match_per_tuple_products(name):
     m = MODELS[name]
     spaces = mode_spaces(m, 1 << 20, "test sweep")
-    probs = list(tuple_probabilities(m, spaces))
-    assert probs == [
+    weights, denominator = tuple_weights(m, spaces)
+    weights = list(weights)
+    assert all(type(w) is int for w in weights)
+    assert [Fraction(w, denominator) for w in weights] == [
         math.prod((matrix_probability(x, m) for x in mats), start=Fraction(1))
         for mats in product(*spaces)
     ]
-    assert sum(probs) == 1
+    assert sum(weights) == denominator
+
+
+def fraction_error_oracle(m, p):
+    """Exact error probability by ``Fraction`` sums over the full tuple space:
+    a tuple decodes correctly when its tensor is the composition of the
+    smallest typical tuple generating it (or, with no typical tuple, the zero
+    tensor)."""
+    book = build_decode_book(m, p)
+    spaces = mode_spaces(m, 1 << 20, "oracle sweep")
+    typical = {cpd_compose(book.tuple_at(i)).key() for i in range(book.tuple_count)}
+    decodable = typical or {zero_tensor(m.order, m.dim).key()}
+    error = Fraction(0)
+    for mats, tensor_mats in zip(product(*spaces), replicated_tuples(m, spaces)):
+        if pack_scalars(compose_entries(tensor_mats)) not in decodable:
+            error += math.prod((matrix_probability(x, m) for x in mats), start=Fraction(1))
+    return error
+
+
+ORACLE_MODELS = {
+    **MODELS,
+    "rank-one order 3 n=3": rank_one_sign_model(3, 3, [SKEWED, U2, SKEWED]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, gamma, error",
+    [
+        ("rank-one order 3", Fraction(1, 3), Fraction(0)),
+        ("rank-one order 3 n=3", Fraction(1, 4), Fraction(175, 256)),
+        ("bilinear R=2", Fraction(1, 10), Fraction(7, 8)),  # empty codebook
+        ("cubic supersymmetric", Fraction(1, 3), Fraction(5, 64)),
+        ("fractional alphabet", Fraction(1, 2), Fraction(365813, 1679616)),
+        ("fractional order 3 R=2", Fraction(1, 2), Fraction(229049, 390625)),
+    ],
+)
+def test_exact_error_prob_matches_fraction_oracle(name, gamma, error):
+    m = ORACLE_MODELS[name]
+    p = TypicalityParams(gamma, m.dim)
+    assert measure_scheme(m, p).exact_error_prob == fraction_error_oracle(m, p) == error
 
 
 def test_mode_spaces_budget_counts_tuples():
