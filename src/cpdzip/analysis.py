@@ -31,6 +31,7 @@ from .tensors import (
     khatri_rao_chain,
     mat_mul,
     rank_exact,
+    replicate,
     solve_exact,
     sweep_keys,
     transpose,
@@ -102,10 +103,6 @@ class FactorizationCensus:
     classes: tuple[tuple[int, ...], ...]  # index groups into full_rank_tuples
 
 
-def _replicate(x: FactorMatrix, order: int) -> tuple[FactorMatrix, ...]:
-    return tuple(FactorMatrix(i, x.rows, x.alphabet) for i in range(1, order + 1))
-
-
 def count_factorizations(
     t: ExactTensor,
     m: ModelSpec,
@@ -134,7 +131,7 @@ def count_factorizations(
         if key != target:
             continue
         total += 1
-        ft = FactorTuple(_replicate(mats[0], m.order) if m.supersymmetric else mats)
+        ft = FactorTuple(replicate(mats[0], m.order) if m.supersymmetric else mats)
         is_full = all(rank_exact(x.rows) == r for x in ft.matrices)
         if is_full:
             full_rank += 1
@@ -325,20 +322,12 @@ def _candidate_matrices(t: ExactTensor, m: ModelSpec, mode: int) -> list[FactorM
 
 
 def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
-    """All full-rank tuples composing to ``t`` via column-space pruning."""
-    n, r = m.dim, m.components
-    if m.order == 2:
-        result = []
-        for x1 in _candidate_matrices(t, m, 1):
-            sol = solve_exact(x1.rows, unfold(t, 1))
-            if sol is None:
-                continue
-            rows = tuple(tuple(row) for row in transpose(sol))
-            x2 = FactorMatrix(2, rows, m.alphabet(2))
-            if x2.conforms(m.alphabet(2)) and rank_exact(x2.rows) == r:
-                result.append(FactorTuple((x1, x2)))
-        return sorted(result, key=_tuple_sort_key)
+    """All full-rank tuples composing to ``t`` via column-space pruning.
 
+    Candidates for modes 2..N fix X_1 through their Khatri-Rao chain, which
+    at N = 2 is X_2 itself.
+    """
+    r = m.components
     candidates = [_candidate_matrices(t, m, i) for i in range(2, m.order + 1)]
     target_unfolded = transpose(unfold(t, 1))  # (X_N (*) ... (*) X_2) X_1^T
     alphabet1 = m.alphabet(1)
@@ -556,7 +545,7 @@ def cubic_sign_tensor(a1, a2) -> ExactTensor:
     """Compose the supersymmetric order-3 tensor of X = [a1, a2]."""
     n = len(a1)
     rows = tuple((a1[j], a2[j]) for j in range(n))
-    mats = _replicate(FactorMatrix(1, rows, sign_alphabet()), 3)
+    mats = replicate(FactorMatrix(1, rows, sign_alphabet()), 3)
     from .tensors import cpd_compose
 
     return cpd_compose(FactorTuple(mats))

@@ -22,8 +22,9 @@ so each codeword has exactly one byte form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .model import (
     BudgetExceededError,
@@ -39,14 +40,16 @@ from .tensors import (
     FactorTuple,
     ShapeError,
     cpd_compose,
+    replicate,
     sweep_keys,
     zero_tensor,
 )
 from .typicality import (
     TypicalityParams,
     TypicalEnumeration,
+    check_space_budget,
     enumerate_typical,
-    mode_spaces,
+    iter_mode_matrices,
     tuple_weights,
     typicality_mass,
 )
@@ -79,7 +82,7 @@ class Codeword:
     index: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeBook:
     """The part of a codebook that decoding reads.
 
@@ -119,16 +122,15 @@ class DecodeBook:
             positions.append(pos)
         positions.reverse()
         mats = [enum.matrices[pos] for enum, pos in zip(self.enums, positions)]
-        if self.model.supersymmetric:
-            x = mats[0]
-            mats = [
-                FactorMatrix(i, x.rows, x.alphabet)
-                for i in range(1, self.model.order + 1)
-            ]
-        return FactorTuple(tuple(mats))
+        return _factor_tuple(self.model, mats)
 
 
-@dataclass
+def _factor_tuple(m: ModelSpec, mats: list[FactorMatrix]) -> FactorTuple:
+    """The tuple of one matrix per independent mode of ``m``."""
+    return FactorTuple(replicate(mats[0], m.order) if m.supersymmetric else mats)
+
+
+@dataclass(frozen=True)
 class Codebook(DecodeBook):
     """A decode book plus encoding's map from tensor key to codebook index.
 
@@ -140,83 +142,54 @@ class Codebook(DecodeBook):
 
 # --- shared space tables --------------------------------------------------------
 #
-# Exhaustive sweeps (codebook construction, exact error probability) reuse a
-# per-model-structure index mapping every tuple of the full space to a compact
-# tensor id, built from the keys of ``sweep_keys``.  The index depends only on
-# (alphabets, n, N, R, supersymmetric), so uniform and skewed variants of one
-# alphabet share it.  Tensor probabilities are cached per model as int
-# numerators over one common denominator.
+# Exhaustive sweeps (codebook construction, exact error probability) read a
+# table mapping every tuple of the full space to a compact tensor id, built
+# from the keys of ``sweep_keys``.  The table depends only on the model's
+# structure (N, n, R, supersymmetric, alphabets), so uniform and skewed
+# variants of one alphabet share it.  Two bounded memos hold the last four
+# tables and the last four models' tensor probabilities (int numerators over
+# one common denominator); ``cache_info()`` and ``cache_clear()`` inspect and
+# reset them.  ``_space_index`` checks the budget on every call, hit or miss.
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SpaceIndex:
-    sizes: tuple[int, ...]  # full space size per independent mode
-    tuple_count: int
+    spaces: list[list[FactorMatrix]]  # every matrix of each independent mode
     tuple_ids: list[int]  # lex tuple index -> tensor id
     id_keys: list[bytes]
     key_to_id: dict[bytes, int]
 
 
-_SPACE_CACHE: dict[tuple, _SpaceIndex] = {}
-_PROB_CACHE: dict[tuple, tuple[list[int], int]] = {}
-_CACHE_CAP = 4
-
-
-def _structure_key(m: ModelSpec) -> tuple:
-    return (
-        m.order,
-        m.dim,
-        m.components,
-        m.supersymmetric,
-        tuple(a.symbols for a in m.alphabets),
-    )
-
-
-def _evict(cache: dict) -> None:
-    while len(cache) > _CACHE_CAP:
-        cache.pop(next(iter(cache)))
-
-
 def _space_index(m: ModelSpec, budget: int) -> _SpaceIndex:
-    key = _structure_key(m)
-    cached = _SPACE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    spaces = mode_spaces(m, budget, "full tuple-space sweep")
+    """The full-space table of ``m``'s structure, after a budget check that
+    runs on every call, whether the table is memoized or not."""
+    check_space_budget(m, budget, "full tuple-space sweep")
+    return _structure_table(replace(m, dists=()))
+
+
+@lru_cache(maxsize=4)
+def _structure_table(structure: ModelSpec) -> _SpaceIndex:
+    modes = range(1, structure.independent_matrices + 1)
+    spaces = [list(iter_mode_matrices(structure, i)) for i in modes]
     key_to_id: dict[bytes, int] = {}
     tuple_ids = [
-        key_to_id.setdefault(key, len(key_to_id)) for key in sweep_keys(spaces, m.order)
+        key_to_id.setdefault(key, len(key_to_id))
+        for key in sweep_keys(spaces, structure.order)
     ]
-    sizes = tuple(map(len, spaces))
-    index = _SpaceIndex(sizes, len(tuple_ids), tuple_ids, list(key_to_id), key_to_id)
-    _SPACE_CACHE[key] = index
-    _evict(_SPACE_CACHE)
-    return index
+    return _SpaceIndex(spaces, tuple_ids, list(key_to_id), key_to_id)
 
 
-def _tensor_probabilities(
-    m: ModelSpec, space: _SpaceIndex, budget: int
-) -> tuple[list[int], int]:
+@lru_cache(maxsize=4)
+def _tensor_probabilities(m: ModelSpec) -> tuple[list[int], int]:
     """Total model probability per tensor id, summed over generating tuples,
-    as (int numerators, common denominator)."""
-    key = (_structure_key(m), model_hash(m))
-    cached = _PROB_CACHE.get(key)
-    if cached is not None:
-        return cached
+    as (int numerators, common denominator).  Callers check the budget with
+    ``_space_index`` first."""
+    space = _structure_table(replace(m, dists=()))
     totals = [0] * len(space.id_keys)
-    weights, denominator = tuple_weights(m, mode_spaces(m, budget, "full tuple-space sweep"))
+    weights, denominator = tuple_weights(m, space.spaces)
     for tid, w in zip(space.tuple_ids, weights):
         totals[tid] += w
-    _PROB_CACHE[key] = totals, denominator
-    _evict(_PROB_CACHE)
     return totals, denominator
-
-
-def _full_tuple_index(space: _SpaceIndex, positions) -> int:
-    idx = 0
-    for size, pos in zip(space.sizes, positions):
-        idx = idx * size + pos
-    return idx
 
 
 def _typical_id_map(
@@ -227,7 +200,8 @@ def _typical_id_map(
     tuple_ids = space.tuple_ids
     code_index = 0
     positions = [e.positions for e in enums]
-    strides = [math.prod(space.sizes[level + 1 :]) for level in range(len(positions))]
+    sizes = [len(s) for s in space.spaces]
+    strides = [math.prod(sizes[level + 1 :]) for level in range(len(positions))]
 
     def walk(level: int, base: int):
         nonlocal code_index
@@ -257,10 +231,11 @@ def build_decode_book(
     tuple_count = math.prod(e.count for e in enums)
     if tuple_count > budget:
         raise BudgetExceededError(tuple_count, budget, "codebook tuple space")
-    book = DecodeBook(m, p, enums, tuple_count, zero_tensor(m.order, m.dim), model_hash(m))
     if tuple_count:
-        book.fallback_tensor = cpd_compose(book.tuple_at(0))
-    return book
+        fallback = cpd_compose(_factor_tuple(m, [e.matrices[0] for e in enums]))
+    else:
+        fallback = zero_tensor(m.order, m.dim)
+    return DecodeBook(m, p, enums, tuple_count, fallback, model_hash(m))
 
 
 def build_codebook(
@@ -427,7 +402,7 @@ def measure_scheme(
     full space must fit the budget.
     """
     space = _space_index(m, budget)
-    numerators, denominator = _tensor_probabilities(m, space, budget)
+    numerators, denominator = _tensor_probabilities(m)
     book = build_decode_book(m, p, budget)
     enums, tuple_count = book.enums, book.tuple_count
     id_map = _typical_id_map(space, enums)

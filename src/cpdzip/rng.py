@@ -20,7 +20,7 @@ import random
 from bisect import bisect_right
 
 from .model import Distribution, ModelSpec
-from .tensors import FactorMatrix, FactorTuple
+from .tensors import FactorMatrix, FactorTuple, replicate
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,10 +84,7 @@ def sample_matrix(m: ModelSpec, mode: int, rng: random.Random) -> FactorMatrix:
 def sample_tuple(m: ModelSpec, rng: random.Random) -> FactorTuple:
     """Sample a factor tuple; supersymmetric models sample once and replicate."""
     if m.supersymmetric:
-        x = sample_matrix(m, 1, rng)
-        mats = tuple(
-            FactorMatrix(i, x.rows, x.alphabet) for i in range(1, m.order + 1)
-        )
+        mats = replicate(sample_matrix(m, 1, rng), m.order)
     else:
         mats = tuple(sample_matrix(m, i, rng) for i in range(1, m.order + 1))
     return FactorTuple(mats)

@@ -143,6 +143,12 @@ class FactorTuple:
         return self.matrices[0].r
 
 
+def replicate(x: FactorMatrix, order: int) -> tuple[FactorMatrix, ...]:
+    """``x`` copied into each of modes 1..``order``: the matrices of a
+    supersymmetric tuple."""
+    return tuple(FactorMatrix(i, x.rows, x.alphabet) for i in range(1, order + 1))
+
+
 def _outer_flat(vectors: Sequence[Sequence[Scalar]]) -> list[Scalar]:
     # Row-major outer product: the last vector's index varies fastest.
     out: list[Scalar] = [1]

@@ -229,18 +229,20 @@ def iter_mode_matrices(m: ModelSpec, mode: int) -> Iterator[FactorMatrix]:
         yield FactorMatrix(mode, rows, alphabet)
 
 
-def mode_spaces(m: ModelSpec, budget: int, what: str) -> list[list[FactorMatrix]]:
-    """Every matrix of each independent mode, canonical order, for a sweep of
-    the full tuple space (see ``tensors.sweep_keys``).
-
-    Raises ``BudgetExceededError`` naming ``what`` when the tuple space holds
-    more than ``budget`` tuples.
-    """
-    modes = range(1, m.independent_matrices + 1)
-    total = math.prod(mode_space_size(m, i) for i in modes)
+def check_space_budget(m: ModelSpec, budget: int, what: str) -> None:
+    """Raise ``BudgetExceededError`` naming ``what`` when the full tuple space
+    of ``m`` holds more than ``budget`` tuples."""
+    total = math.prod(mode_space_size(m, i) for i in range(1, m.independent_matrices + 1))
     if total > budget:
         raise BudgetExceededError(total, budget, what)
-    return [list(iter_mode_matrices(m, i)) for i in modes]
+
+
+def mode_spaces(m: ModelSpec, budget: int, what: str) -> list[list[FactorMatrix]]:
+    """Every matrix of each independent mode, canonical order, for a sweep of
+    the full tuple space (see ``tensors.sweep_keys``), after
+    ``check_space_budget``."""
+    check_space_budget(m, budget, what)
+    return [list(iter_mode_matrices(m, i)) for i in range(1, m.independent_matrices + 1)]
 
 
 def tuple_weights(

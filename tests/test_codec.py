@@ -270,6 +270,31 @@ def test_measure_scheme_budget_refusal():
         measure_scheme(m, TypicalityParams(Fraction(1, 10), 4), budget=100)
 
 
+def test_measure_scheme_budget_refusal_does_not_depend_on_earlier_calls():
+    m = rank_one_sign_model(3, 3, [(Fraction(3, 4), Fraction(1, 4))] * 3)
+    p = TypicalityParams(Fraction(1, 10), 3)
+    with pytest.raises(BudgetExceededError):
+        measure_scheme(m, p, budget=100)
+    assert measure_scheme(m, p).exact_error_prob == Fraction(58975, 65536)
+    with pytest.raises(BudgetExceededError):
+        measure_scheme(m, p, budget=100)
+
+
+def test_models_differing_only_in_dists_share_one_structure_table():
+    table = codec._space_index(uniform_rank_one(2), 64)
+    assert codec._space_index(skewed_rank_one(2), 64) is table
+    info = codec._structure_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_memos_hold_at_most_four_entries():
+    for n, order in [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]:
+        measure_scheme(skewed_rank_one(n, order), TypicalityParams(Fraction(1, 10), n))
+    for memo in (codec._structure_table, codec._tensor_probabilities):
+        info = memo.cache_info()
+        assert info.misses == 5 and info.currsize == info.maxsize == 4
+
+
 def test_encode_shape_mismatch():
     from cpdzip.tensors import ShapeError
 
