@@ -39,6 +39,7 @@ from .tensors import (
     FactorMatrix,
     FactorTuple,
     ShapeError,
+    compose_entries,
     cpd_compose,
     replicate,
     sweep_keys,
@@ -113,16 +114,19 @@ class DecodeBook:
 
     def tuple_at(self, index: int) -> FactorTuple:
         """Typical tuple at a lexicographic index (mode 1 most significant)."""
+        return _factor_tuple(self.model, self._matrices_at(index))
+
+    def _matrices_at(self, index: int) -> list[FactorMatrix]:
+        """The typical matrix of each independent mode at a lexicographic index."""
         if not 0 <= index < self.tuple_count:
             raise DecodeError(f"tuple index {index} out of range [0, {self.tuple_count})")
-        positions = []
+        mats = []
         rem = index
         for enum in reversed(self.enums):
             rem, pos = divmod(rem, enum.count)
-            positions.append(pos)
-        positions.reverse()
-        mats = [enum.matrices[pos] for enum, pos in zip(self.enums, positions)]
-        return _factor_tuple(self.model, mats)
+            mats.append(enum.matrices[pos])
+        mats.reverse()
+        return mats
 
 
 def _factor_tuple(m: ModelSpec, mats: list[FactorMatrix]) -> FactorTuple:
@@ -304,7 +308,11 @@ def decode(c: Codeword, cb: DecodeBook) -> ExactTensor:
         raise DecodeError(f"unknown flag byte {c.flag}")
     if c.index >= cb.tuple_count:
         raise DecodeError(f"index {c.index} out of range for |M| = {cb.size}")
-    return cpd_compose(cb.tuple_at(c.index))
+    # enumerated matrices share n and R by construction: no FactorTuple check
+    mats = cb._matrices_at(c.index)
+    if m.supersymmetric:
+        mats = replicate(mats[0], m.order)
+    return ExactTensor(m.order, m.dim, tuple(compose_entries(mats)))
 
 
 def _index_length(index: int) -> int:

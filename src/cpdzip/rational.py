@@ -9,8 +9,9 @@ tensors and matrices built from their output need no further normalization.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import CpdzipError
 
@@ -21,6 +22,26 @@ class ScalarError(CpdzipError, ValueError):
     """A value is not an exact rational in an accepted form."""
 
 
+# The one accepted scalar string: an optional minus sign, ASCII digits, and
+# an optional '/' with an ASCII-digit denominator (the schemas' pattern).
+_SCALAR_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """(p, q) of a 'p' or 'p/q' string, q >= 1 and not reduced."""
+    match = _SCALAR_TEXT.fullmatch(text)
+    if match is None:
+        raise ScalarError(f"not an exact rational: {text!r}")
+    num, den = match.groups()
+    try:
+        p, q = int(num), int(den) if den else 1
+    except ValueError:  # more digits than int() converts
+        raise ScalarError(f"not an exact rational: {text!r}") from None
+    if q == 0:
+        raise ScalarError(f"zero denominator in {text!r}")
+    return p, q
+
+
 def to_fraction(value) -> Fraction:
     """Parse an exact rational from an int, Fraction, or 'p' / 'p/q' string."""
     if isinstance(value, bool):
@@ -28,14 +49,7 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        num, slash, den = value.strip().partition("/")
-        try:
-            p, q = int(num), int(den) if slash else 1
-        except ValueError:
-            raise ScalarError(f"not an exact rational: {value!r}") from None
-        if q == 0:
-            raise ScalarError(f"zero denominator in {value!r}")
-        return Fraction(p, q)
+        return Fraction(*_ratio(value))
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -48,16 +62,7 @@ def parse_scalar(value) -> Scalar:
     if type(value) is int:
         return value
     if type(value) is str:
-        num, slash, den = value.partition("/")
-        try:
-            p = int(num)
-            q = int(den) if slash and den != "1" else 1
-        except ValueError:
-            raise ScalarError(f"not an exact rational: {value!r}") from None
-        if q == 1:
-            return p
-        if q == 0:
-            raise ScalarError(f"zero denominator in {value!r}")
+        p, q = _ratio(value)
         if p % q == 0:
             return p // q
         return Fraction(p, q)
@@ -66,12 +71,46 @@ def parse_scalar(value) -> Scalar:
     raise ScalarError(f"not an exact rational: {value!r}")
 
 
+def parse_scalars(values: Sequence) -> tuple[Scalar, ...]:
+    """``tuple(map(parse_scalar, values))``, parsing each distinct string once.
+
+    The table is keyed on the values only when every one is exactly a
+    ``str``: a value-keyed table would merge ``1``, ``True``, ``1.0`` and
+    ``Fraction(1)``, and unhashable entries would raise ``TypeError``.  Both
+    paths refuse the first bad entry with the same ``ScalarError``.
+    """
+    if set(map(type, values)) != {str}:
+        return tuple(map(parse_scalar, values))
+    table = dict.fromkeys(values)
+    for text in table:
+        table[text] = parse_scalar(text)
+    return tuple(map(table.__getitem__, values))
+
+
 def rational_str(value: Scalar) -> str:
     """Canonical 'p/q' form, q >= 1 and lowest terms; pinned for JSON and hashing."""
     if type(value) is int:
         return f"{value}/1"
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def scalar_strs(values: Sequence[Scalar]) -> list[str]:
+    """``[rational_str(v) for v in values]``, formatting each distinct value
+    once; equal values share one string.
+
+    Equal values have one canonical form, so a value-keyed table gives the
+    same strings.  It is filled in first-occurrence order, so a bad entry
+    fails as it would one by one; an unhashable entry sends the whole list
+    through ``rational_str`` one by one.
+    """
+    try:
+        table = dict.fromkeys(values)
+    except TypeError:
+        return [rational_str(v) for v in values]
+    for value in table:
+        table[value] = rational_str(value)
+    return list(map(table.__getitem__, values))
 
 
 def compact(value: Scalar) -> Scalar:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -28,9 +28,9 @@ from .rational import (
     Scalar,
     compact,
     pack_scalars,
-    parse_scalar,
-    rational_str,
+    parse_scalars,
     read_scalar,
+    scalar_strs,
     write_scalar,
 )
 
@@ -181,12 +181,11 @@ def outer_product(vectors: Sequence[Sequence[Scalar]]) -> ExactTensor:
 
 def compose_entries(matrices: Sequence[FactorMatrix]) -> list[Scalar]:
     """Flat row-major entries of sum_r (outer product of the r-th columns)."""
-    r_count = matrices[0].r
-    cols = [[m.column(r) for m in matrices] for r in range(r_count)]
+    # item r: the r-th column of every mode, each matrix's columns read once
+    cols = list(zip(*[zip(*m.rows) for m in matrices]))
     acc = _outer_flat(cols[0])
-    for r in range(1, r_count):
-        term = _outer_flat(cols[r])
-        acc = [a + b for a, b in zip(acc, term)]
+    for col in cols[1:]:
+        acc = [a + b for a, b in zip(acc, _outer_flat(col))]
     return _collapse(acc, (v for m in matrices for row in m.rows for v in row))
 
 
@@ -478,7 +477,7 @@ def tensor_to_dict(t: ExactTensor) -> dict:
         "kind": "tensor",
         "order": t.order,
         "dim": t.dim,
-        "entries": [rational_str(e) for e in t.entries],
+        "entries": scalar_strs(t.entries),
     }
 
 
@@ -493,17 +492,18 @@ def tensor_from_dict(data: dict) -> ExactTensor:
     return ExactTensor(
         json_field(data, "order", int),
         json_field(data, "dim", int),
-        tuple(map(parse_scalar, json_field(data, "entries", list))),
+        parse_scalars(json_field(data, "entries", list)),
     )
 
 
 def matrix_to_dict(x: FactorMatrix) -> dict:
+    strs = iter(scalar_strs([v for row in x.rows for v in row]))
     return {
         "kind": "factor_matrix",
         "mode": x.mode,
         "rows": x.n,
         "cols": x.r,
-        "entries": [[rational_str(v) for v in row] for row in x.rows],
+        "entries": [list(islice(strs, len(row))) for row in x.rows],
     }
 
 
@@ -513,7 +513,8 @@ def matrix_from_dict(data: dict) -> FactorMatrix:
     rows = json_field(data, "entries", list)
     if not all(type(row) is list for row in rows):
         raise DocumentError("field 'entries' must be a list of rows")
-    return FactorMatrix(mode, tuple(tuple(map(parse_scalar, row)) for row in rows))
+    values = iter(parse_scalars([v for row in rows for v in row]))
+    return FactorMatrix(mode, tuple(tuple(islice(values, len(row))) for row in rows))
 
 
 def tensor_dump_bytes(t: ExactTensor) -> bytes:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -26,9 +27,11 @@ from cpdzip.codec import (
     measure_scheme,
 )
 from cpdzip.model import (
+    Alphabet,
     BudgetExceededError,
     CpdzipError,
     Distribution,
+    ModelSpec,
     model_hash,
     theoretical_threshold,
     uniform,
@@ -455,3 +458,58 @@ def test_codebook_over_budget_path_matches_full_space_path(m, gamma, monkeypatch
         small = build_codebook(m, p, budget=budget)
     assert small.tensor_to_index == full.tensor_to_index
     assert small.size == full.size and small.fallback_tensor == full.fallback_tensor
+
+
+HALF_TWO = Alphabet((Fraction(1, 2), 2))
+
+
+@pytest.mark.parametrize(
+    "m, gamma",
+    [(uniform_rank_one(n), Fraction(1, 4)) for n in (2, 3, 4)]
+    + [
+        (skewed_rank_one(3), Fraction(1, 10)),
+        (cubic_sign_model(3, SKEWED, uniform(2)), Fraction(1, 4)),
+        (ModelSpec(3, 2, 2, (HALF_TWO,) * 3, ((uniform(2),) * 2,) * 3), Fraction(1, 4)),
+    ],
+    ids=["rank-one-n2", "rank-one-n3", "rank-one-n4", "skewed-n3", "super-n3", "halves-R2"],
+)
+def test_decode_composes_like_cpd_compose_of_tuple_at(m, gamma):
+    book = build_decode_book(m, TypicalityParams(gamma, m.dim))
+    assert book.tuple_count > 0
+    integral = fractional = 0
+    for cw in _all_codewords(book):
+        got = decode(cw, book)
+        if cw.flag == FLAG_FALLBACK:
+            assert got == book.fallback_tensor
+            continue
+        want = cpd_compose(book.tuple_at(cw.index))
+        assert got == want
+        assert [type(e) for e in got.entries] == [type(e) for e in want.entries]
+        for e in got.entries:
+            if type(e) is int:
+                integral += 1
+            else:
+                assert e.denominator != 1  # integral values come back as int
+                fractional += 1
+    if m.alphabets[0] == HALF_TWO:
+        assert integral and fractional  # products such as 1/2 * 2 * 2 are integral
+
+
+def test_decode_refuses_every_bad_codeword_of_a_direct_decode():
+    m = skewed_rank_one(3)
+    book = build_decode_book(m, TypicalityParams(Fraction(1, 10), 3))
+    good = next(_all_codewords(book))
+    bad = [
+        replace(good, model_digest=bytes(32)),
+        replace(good, order=2),
+        replace(good, components=2),
+        replace(good, n=4),
+        replace(good, gamma=Fraction(1, 5)),
+        replace(good, flag=FLAG_FALLBACK, index=0),
+        replace(good, flag=2),
+        replace(good, index=book.tuple_count),
+        replace(good, index=-1),
+    ]
+    for cw in bad:
+        with pytest.raises(DecodeError):
+            decode(cw, book)

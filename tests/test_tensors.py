@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cpdzip import tensors
 from cpdzip.model import Alphabet
-from cpdzip.rational import compact
+from cpdzip.rational import ScalarError, compact
 from cpdzip.tensors import (
     DocumentError,
     ExactTensor,
@@ -549,10 +549,12 @@ def test_matrix_binary_dump_round_trip():
 
 
 def test_json_readers_return_integral_values_as_int():
-    doc = {"kind": "tensor", "order": 1, "dim": 4, "entries": ["4/2", "-3/1", 5, "1/-2"]}
+    doc = {"kind": "tensor", "order": 1, "dim": 4, "entries": ["4/2", "-3/1", 5, "-1/2"]}
     t = tensor_from_dict(doc)
     assert t.entries == (2, -3, 5, Fraction(-1, 2))
     assert [type(e) for e in t.entries[:3]] == [int, int, int]
+    with pytest.raises(ScalarError):  # the sign belongs on the numerator
+        tensor_from_dict(dict(doc, entries=["4/2", "-3/1", 5, "1/-2"]))
     x = matrix_from_dict(
         {"kind": "factor_matrix", "mode": 1, "rows": 1, "cols": 2, "entries": [["6/3", "1/3"]]}
     )
