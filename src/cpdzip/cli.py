@@ -36,7 +36,7 @@ from .model import (
     validate,
 )
 from .rational import rational_str, to_fraction
-from .rng import sample_tuple, stream_rng
+from .rng import DrawTable, draw_tuple, stream_rng
 from .tensors import (
     kruskal_rank,
     matrix_from_dict,
@@ -69,9 +69,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sample(args) -> int:
     m = load_model(args.model)
+    table = DrawTable(m)
     tuples = []
     for t in range(args.count):
-        ft = sample_tuple(m, stream_rng(args.seed, t))
+        ft = draw_tuple(table, stream_rng(args.seed, t))
         tuples.append([matrix_to_dict(x) for x in ft.matrices])
     _emit({"seed": args.seed, "tuples": tuples}, args.out)
     return 0

@@ -39,7 +39,7 @@ from .model import (
     theoretical_threshold,
 )
 from .rational import rational_str, to_fraction
-from .rng import sample_tuple, stream_rng
+from .rng import DrawTable, draw_rows, stream_rng
 from .tensors import rank_exact, zero_tensor
 from .typicality import TypicalityParams, mode_space_size, spectrum_samples
 
@@ -180,13 +180,12 @@ def estimate_full_rank_prob(m: ModelSpec, trials: int, seed: int) -> list[FullRa
     """Monte-Carlo estimate of Pr{rank(X_i) = R} per mode with Wilson interval."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    modes = m.independent_matrices
-    successes = [0] * modes
+    table = DrawTable(m)
+    successes = [0] * len(table.modes)
     r = m.components
     for t in range(trials):
-        ft = sample_tuple(m, stream_rng(seed, t))
-        for i in range(modes):
-            if rank_exact(ft.matrices[i].rows) == r:
+        for i, rows in enumerate(draw_rows(table, stream_rng(seed, t))):
+            if rank_exact(rows) == r:
                 successes[i] += 1
     bound = full_rank_prob_bound(m)
     out = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import CpdzipError
@@ -25,6 +26,7 @@ class ScalarError(CpdzipError, ValueError):
 # The one accepted scalar string: an optional minus sign, ASCII digits, and
 # an optional '/' with an ASCII-digit denominator (the schemas' pattern).
 _SCALAR_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_EXACT_TYPES = {int, Fraction}  # the types the JSON writers accept
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -88,29 +90,35 @@ def parse_scalars(values: Sequence) -> tuple[Scalar, ...]:
 
 
 def rational_str(value: Scalar) -> str:
-    """Canonical 'p/q' form, q >= 1 and lowest terms; pinned for JSON and hashing."""
+    """Canonical 'p/q' form, q >= 1 and lowest terms; pinned for JSON and hashing.
+
+    Only an exact ``int`` or ``Fraction`` is written; anything else (a bool,
+    a float, a string) is a ``ScalarError``, never coerced.
+    """
     if type(value) is int:
         return f"{value}/1"
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    if type(value) is not Fraction:
+        raise ScalarError(f"not an exact rational scalar: {value!r}")
+    return f"{value.numerator}/{value.denominator}"
 
 
 def scalar_strs(values: Sequence[Scalar]) -> list[str]:
     """``[rational_str(v) for v in values]``, formatting each distinct value
     once; equal values share one string.
 
-    Equal values have one canonical form, so a value-keyed table gives the
-    same strings.  It is filled in first-occurrence order, so a bad entry
-    fails as it would one by one; an unhashable entry sends the whole list
-    through ``rational_str`` one by one.
+    Equal ints and Fractions have one canonical form, so a value-keyed table
+    gives the same strings.  A list holding any other type goes through
+    ``rational_str`` one by one, so its first such entry is refused, even
+    one (``True``) that equals an accepted value.
     """
-    try:
-        table = dict.fromkeys(values)
-    except TypeError:
+    if not set(map(type, values)) <= _EXACT_TYPES:
         return [rational_str(v) for v in values]
+    table = dict.fromkeys(values)
     for value in table:
         table[value] = rational_str(value)
-    return list(map(table.__getitem__, values))
+    if len(values) < 2:  # itemgetter of one key returns it bare, of none raises
+        return [table[v] for v in values]
+    return list(itemgetter(*values)(table))
 
 
 def compact(value: Scalar) -> Scalar:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -161,9 +161,9 @@ def _collapse(entries: list[Scalar], factors) -> list[Scalar]:
     """``entries`` composed from the scalars ``factors``, integral values as int.
 
     Sums and products of ints are ints, so only fractional factors pay for a
-    pass over the entries.
+    pass over the entries.  ``factors`` is read in one C-level pass.
     """
-    if all(type(v) is int for v in factors):
+    if set(map(type, factors)) <= {int}:
         return entries
     return [compact(e) for e in entries]
 
@@ -175,7 +175,7 @@ def outer_product(vectors: Sequence[Sequence[Scalar]]) -> ExactTensor:
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ShapeError("outer product requires equal-length vectors")
-    flat = _collapse(_outer_flat(vectors), (v for vec in vectors for v in vec))
+    flat = _collapse(_outer_flat(vectors), chain.from_iterable(vectors))
     return ExactTensor(len(vectors), n, tuple(flat))
 
 
@@ -186,7 +186,7 @@ def compose_entries(matrices: Sequence[FactorMatrix]) -> list[Scalar]:
     acc = _outer_flat(cols[0])
     for col in cols[1:]:
         acc = [a + b for a, b in zip(acc, _outer_flat(col))]
-    return _collapse(acc, (v for m in matrices for row in m.rows for v in row))
+    return _collapse(acc, chain.from_iterable(chain.from_iterable(cols)))
 
 
 def cpd_compose(t: FactorTuple | Sequence[FactorMatrix]) -> ExactTensor:

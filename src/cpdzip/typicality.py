@@ -104,20 +104,25 @@ def matrix_probability(x: FactorMatrix, m: ModelSpec) -> Fraction:
     return prob
 
 
+def _log_table(dists) -> list[list[float]]:
+    """logs[r][k] = ln p of symbol k under dists[r] (-inf where p is zero)."""
+    return [
+        [math.log(p.numerator) - math.log(p.denominator) if p else -math.inf for p in d.probs]
+        for d in dists
+    ]
+
+
+def _log_prob_counts(counts, logs) -> float:
+    """ln P(X) from symbol counts: one term per (column, symbol) present."""
+    return math.fsum(
+        c * lg for column, column_logs in zip(counts, logs) for c, lg in zip(column, column_logs) if c
+    )
+
+
 def log_prob_matrix(x: FactorMatrix, m: ModelSpec) -> float:
     """ln P(X) in nats; -inf when some entry has probability zero."""
-    counts = _symbol_counts(x, m)
-    terms = []
-    for r in range(x.r):
-        probs = m.dist(x.mode, r).probs
-        for k, c in enumerate(counts[r]):
-            if not c:
-                continue
-            p = probs[k]
-            if p == 0:
-                return -math.inf
-            terms.append(c * (math.log(p.numerator) - math.log(p.denominator)))
-    return math.fsum(terms)
+    dists = [m.dist(x.mode, r) for r in range(x.r)]
+    return _log_prob_counts(_symbol_counts(x, m), _log_table(dists))
 
 
 def _deviation_terms(
@@ -391,19 +396,24 @@ def spectrum_samples(m: ModelSpec, trials: int, seed: int) -> list[float]:
 
     The sum runs over the independently sampled matrices (one in
     supersymmetric mode).  Deterministic given the seed; trial t uses the
-    derived stream (seed, t).
+    derived stream (seed, t).  Each sample is read from the drawn symbol
+    indices, with the terms and sums of ``log_prob_matrix``, so it equals
+    that function over ``sample_tuple``'s matrices bit for bit.
     """
-    from .rng import sample_tuple, stream_rng
+    from .rng import DrawTable, draw_indices, stream_rng
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = m.dim
+    table = DrawTable(m)
+    logs = [_log_table(m.dists[mode - 1]) for mode in table.modes]
+    symbols = [range(a.size) for a in table.alphabets]
     out = []
     for t in range(trials):
-        rng = stream_rng(seed, t)
-        ft = sample_tuple(m, rng)
+        indices = draw_indices(table, stream_rng(seed, t))
         total = math.fsum(
-            log_prob_matrix(ft.matrices[i], m) for i in range(m.independent_matrices)
+            _log_prob_counts([[col.count(k) for k in ks] for col in cols], mode_logs)
+            for cols, ks, mode_logs in zip(indices, symbols, logs)
         )
         out.append(-total / n)
     return out

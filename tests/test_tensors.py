@@ -15,6 +15,7 @@ from cpdzip.tensors import (
     FactorMatrix,
     FactorTuple,
     ShapeError,
+    compose_entries,
     cpd_compose,
     khatri_rao,
     khatri_rao_chain,
@@ -90,6 +91,34 @@ def test_outer_product_rationals_against_naive_oracle():
 def test_outer_product_length_mismatch():
     with pytest.raises(ShapeError):
         outer_product([(1, 2), (1, 2, 3)])
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.sampled_from([(-1, 0, 2), (-1, Fraction(1, 2), 2), (Fraction(-3, 2), Fraction(2, 3))]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_compose_entries_types_match_entrywise_fraction_sums(order, n, r, alphabet, rnd):
+    # Every entry is the exact sum of products, int exactly when integral.
+    mats = [
+        FactorMatrix(i, tuple(tuple(rnd.choice(alphabet) for _ in range(r)) for _ in range(n)))
+        for i in range(1, order + 1)
+    ]
+    expected = []
+    for idx in product(range(n), repeat=order):
+        total = Fraction(0)
+        for c in range(r):
+            term = Fraction(1)
+            for x, j in zip(mats, idx):
+                term *= x.rows[j][c]
+            total += term
+        expected.append(compact(total))
+    got = compose_entries(mats)
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
 
 
 def test_cpd_compose_sign_cancellation_is_zero():
@@ -559,6 +588,24 @@ def test_json_readers_return_integral_values_as_int():
         {"kind": "factor_matrix", "mode": 1, "rows": 1, "cols": 2, "entries": [["6/3", "1/3"]]}
     )
     assert x.rows == ((2, Fraction(1, 3)),) and type(x.rows[0][0]) is int
+
+
+@pytest.mark.parametrize("bad", [" 1_0 ", "1/2", 0.5, 1.0, True, False, None, [1]])
+def test_json_writers_refuse_entries_that_are_not_exact_scalars(bad):
+    # ExactTensor and FactorMatrix hold any objects; the writers must not
+    # coerce them (" 1_0 " once became "10/1", True "1/1", 0.5 "1/2").
+    for entries in ((bad, 1, Fraction(1, 2)), (1, Fraction(1, 2), bad), (1, bad, 1)):
+        with pytest.raises(ScalarError):
+            tensor_to_dict(ExactTensor(1, 3, entries))
+        with pytest.raises(ScalarError):
+            matrix_to_dict(FactorMatrix(1, tuple((v,) for v in entries)))
+
+
+def test_json_writers_accept_ints_and_fractions():
+    t = ExactTensor(1, 4, (1, Fraction(1), Fraction(-3, 6), 0))
+    assert tensor_to_dict(t)["entries"] == ["1/1", "1/1", "-1/2", "0/1"]
+    x = FactorMatrix(1, ((2, Fraction(4, 2)), (Fraction(1, 3), -1)))
+    assert matrix_to_dict(x)["entries"] == [["2/1", "2/1"], ["1/3", "-1/1"]]
 
 
 def test_tensor_from_dict_rejects_other_kinds():
