@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, canonical text form, compact binary packing.
+"""Exact rational scalars: parsing, canonical text form, injective key packing.
 
 Scalars are Python ints or ``fractions.Fraction`` values.  Integral values are
 stored as plain ints: the numeric tower keeps equality and hashing consistent
@@ -128,61 +128,28 @@ def compact(value: Scalar) -> Scalar:
     return value
 
 
-def _uvarint(out: bytearray, u: int) -> None:
-    while True:
-        b = u & 0x7F
-        u >>= 7
-        if u:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-def _read_uvarint(buf: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(buf):
-            raise ValueError("truncated varint")
-        b = buf[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
-
-
-def write_scalar(out: bytearray, value: Scalar) -> None:
-    """Append one scalar as zigzag-varint numerator + varint denominator."""
-    if isinstance(value, int):
-        num, den = value, 1
-    else:
-        num, den = value.numerator, value.denominator
-    zz = (num << 1) if num >= 0 else ((-num) << 1) - 1
-    _uvarint(out, zz)
-    _uvarint(out, den)
-
-
-def read_scalar(buf: bytes, pos: int) -> tuple[Scalar, int]:
-    zz, pos = _read_uvarint(buf, pos)
-    den, pos = _read_uvarint(buf, pos)
-    num = (zz >> 1) if not zz & 1 else -((zz + 1) >> 1)
-    if den == 1:
-        return num, pos
-    return compact(Fraction(num, den)), pos
-
-
 # Per-scalar encodings repeat heavily inside tensor sweeps; memoize them.
 _FRAGMENTS: dict[Scalar, bytes] = {}
 _FRAGMENT_CAP = 1 << 16
 
 
 def scalar_fragment(value: Scalar) -> bytes:
+    """One scalar's key bytes: the varint of its zigzagged numerator, then
+    the varint of its denominator (7 bits a byte, least significant first,
+    high bit set on every byte but the last).  An integral Fraction gives
+    the bytes of the equal int."""
     frag = _FRAGMENTS.get(value)
     if frag is None:
+        if isinstance(value, int):
+            num, den = value, 1
+        else:
+            num, den = value.numerator, value.denominator
         out = bytearray()
-        write_scalar(out, value)
+        for u in ((num << 1) if num >= 0 else ((-num) << 1) - 1, den):
+            while u > 0x7F:
+                out.append(u & 0x7F | 0x80)
+                u >>= 7
+            out.append(u)
         frag = bytes(out)
         if len(_FRAGMENTS) < _FRAGMENT_CAP:
             _FRAGMENTS[value] = frag

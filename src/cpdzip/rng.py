@@ -10,7 +10,8 @@ PRNG contract (pinned; never change without a format-version bump):
 * Symbols are drawn by exact cumulative-rational inversion of a 64-bit
   uniform integer: with common denominator b, draws >= b * floor(2^64 / b)
   (the boundary slice) are rejected and redrawn, making every symbol
-  probability exactly its rational value.
+  probability exactly its rational value.  A common denominator above 2^64
+  leaves no word to accept and is refused with a ``CpdzipError``.
 * A trial draws its independently sampled matrices in mode order, each one
   column-major: column r's n entries, then column r + 1's.
 
@@ -34,7 +35,7 @@ from functools import partial
 from itertools import chain, repeat
 from operator import mod
 
-from .model import Alphabet, Distribution, ModelSpec
+from .model import CpdzipError, Distribution, ModelSpec
 from .tensors import FactorMatrix, FactorTuple, replicate
 
 _MASK64 = (1 << 64) - 1
@@ -68,6 +69,11 @@ class RationalSampler:
             acc += p.numerator * (denom // p.denominator)
             cum.append(acc)
         assert acc == denom  # normalized distributions only
+        if denom > 1 << 64:  # limit would be 0 and every word rejected
+            raise CpdzipError(
+                f"cannot sample a distribution with common denominator {denom}: "
+                "it exceeds 2^64, the range of one 64-bit draw"
+            )
         self.denom = denom
         self.cum = cum
         self.limit = (1 << 64) - ((1 << 64) % denom)

@@ -8,9 +8,9 @@ entry.  There are no tolerances.  Matrices passed to the linear-algebra
 helpers are plain sequences of row sequences.
 
 Integral values are held as ints.  Tensors and factor matrices take their
-entries as given; the places where an integral Fraction can arise (JSON and
-dump parsing, composition of fractional factors, ``solve_exact``) collapse it
-to an int before construction.
+entries as given; the places where an integral Fraction can arise (JSON
+parsing, composition of fractional factors, ``solve_exact``) collapse it to
+an int before construction.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from .rational import (
     compact,
     pack_scalars,
     parse_scalars,
-    read_scalar,
     scalar_strs,
-    write_scalar,
 )
 
 Matrix = Sequence[Sequence[Scalar]]
@@ -464,12 +462,7 @@ def solve_exact(a: Matrix, b: Matrix) -> list[list[Scalar]] | None:
     ]
 
 
-# --- JSON and binary dumps ----------------------------------------------------
-
-_DUMP_MAGIC = b"CPDD"
-_DUMP_VERSION = 1
-_KIND_TENSOR = 0
-_KIND_MATRIX = 1
+# --- JSON documents -----------------------------------------------------------
 
 
 def tensor_to_dict(t: ExactTensor) -> dict:
@@ -515,67 +508,3 @@ def matrix_from_dict(data: dict) -> FactorMatrix:
         raise DocumentError("field 'entries' must be a list of rows")
     values = iter(parse_scalars([v for row in rows for v in row]))
     return FactorMatrix(mode, tuple(tuple(islice(values, len(row))) for row in rows))
-
-
-def tensor_dump_bytes(t: ExactTensor) -> bytes:
-    out = bytearray()
-    out += _DUMP_MAGIC
-    out.append(_DUMP_VERSION)
-    out.append(_KIND_TENSOR)
-    out.append(t.order)
-    out += t.dim.to_bytes(2, "big")
-    for e in t.entries:
-        write_scalar(out, e)
-    return bytes(out)
-
-
-def matrix_dump_bytes(x: FactorMatrix) -> bytes:
-    out = bytearray()
-    out += _DUMP_MAGIC
-    out.append(_DUMP_VERSION)
-    out.append(_KIND_MATRIX)
-    out.append(x.mode)
-    out += x.n.to_bytes(2, "big")
-    out.append(x.r)
-    for row in x.rows:  # row-major
-        for v in row:
-            write_scalar(out, v)
-    return bytes(out)
-
-
-def _check_dump_header(buf: bytes, kind: int) -> int:
-    if buf[:4] != _DUMP_MAGIC:
-        raise ValueError("bad dump magic")
-    if buf[4] != _DUMP_VERSION:
-        raise ValueError(f"unsupported dump version {buf[4]}")
-    if buf[5] != kind:
-        raise ValueError("dump kind mismatch")
-    return 6
-
-
-def tensor_from_dump(buf: bytes, pos: int = 0) -> tuple[ExactTensor, int]:
-    pos = pos + _check_dump_header(buf[pos:], _KIND_TENSOR)
-    order = buf[pos]
-    dim = int.from_bytes(buf[pos + 1 : pos + 3], "big")
-    pos += 3
-    entries = []
-    for _ in range(dim**order):
-        v, pos = read_scalar(buf, pos)
-        entries.append(v)
-    return ExactTensor(order, dim, tuple(entries)), pos
-
-
-def matrix_from_dump(buf: bytes, pos: int = 0) -> tuple[FactorMatrix, int]:
-    pos = pos + _check_dump_header(buf[pos:], _KIND_MATRIX)
-    mode = buf[pos]
-    n = int.from_bytes(buf[pos + 1 : pos + 3], "big")
-    r = buf[pos + 3]
-    pos += 4
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(r):
-            v, pos = read_scalar(buf, pos)
-            row.append(v)
-        rows.append(tuple(row))
-    return FactorMatrix(mode, tuple(rows)), pos

@@ -28,7 +28,7 @@ from .model import (
     ModelSpec,
     entropy,
 )
-from .tensors import FactorMatrix, matrix_dump_bytes, matrix_from_dump
+from .tensors import FactorMatrix
 
 _FLOAT_MARGIN = 1e-6
 _INTERVAL_WIDTH_FLOOR = 1e-9
@@ -416,22 +416,4 @@ def spectrum_samples(m: ModelSpec, trials: int, seed: int) -> list[float]:
             for cols, ks, mode_logs in zip(indices, symbols, logs)
         )
         out.append(-total / n)
-    return out
-
-
-def write_enumeration_dump(enum: TypicalEnumeration, path) -> None:
-    """Stream an enumeration to disk as concatenated binary matrix dumps."""
-    with open(path, "wb") as fh:
-        for x in enum.matrices:
-            fh.write(matrix_dump_bytes(x))
-
-
-def read_enumeration_dump(path) -> list[FactorMatrix]:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    out = []
-    pos = 0
-    while pos < len(buf):
-        x, pos = matrix_from_dump(buf, pos)
-        out.append(x)
     return out

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import cpdzip
 from cpdzip.analysis import cubic_sign_model, rank_one_sign_model
 from cpdzip.cli import main
-from cpdzip.model import model_to_dict, save_model, uniform
+from cpdzip.model import Distribution, model_to_dict, save_model, uniform
 from cpdzip.tensors import (
     FactorMatrix,
     FactorTuple,
@@ -52,6 +57,27 @@ def test_sample_outputs_matrices(model_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["tuples"]) == 2
     assert len(payload["tuples"][0]) == 3  # one matrix per mode
+
+
+def test_sample_refuses_a_denominator_above_2_to_64(tmp_path):
+    # No 64-bit word is below such a column's rejection limit, so sampling
+    # without the refusal never returns; the subprocess timeout turns that
+    # hang into a failure.
+    b = 2**64 + 1
+    huge = Distribution((Fraction(1, b), Fraction(b - 1, b)))
+    path = tmp_path / "huge.json"
+    save_model(rank_one_sign_model(2, 2, [U2, huge]), path)
+    assert main(["validate", "--model", str(path)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cpdzip.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpdzip.cli", "sample", "--model", str(path), "--seed", "1"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and str(b) in proc.stderr
 
 
 def test_encode_decode_round_trip(model_file, tmp_path, capsys):

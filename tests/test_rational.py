@@ -8,6 +8,7 @@ from cpdzip.model import CpdzipError
 from cpdzip.rational import (
     ScalarError,
     compact,
+    pack_scalars,
     parse_scalar,
     parse_scalars,
     rational_str,
@@ -139,3 +140,70 @@ def test_parse_scalars_reads_like_parse_scalar_entry_by_entry(values):
 def test_scalar_strs_writes_like_rational_str_entry_by_entry(values):
     got = _outcome(scalar_strs, values)
     assert got == _outcome(lambda v: [rational_str(x) for x in v], values)
+
+
+# --- key packing ------------------------------------------------------------------
+
+small_ints = st.integers(-3, 3)
+# 2^(7k) - 2 ... 2^(7k) + 1, where a varint grows by one byte; as a
+# denominator directly, as a numerator after zigzag (u // 2 and -(u // 2))
+edges = st.builds(lambda k, d: (1 << 7 * k) + d, st.integers(1, 10), st.integers(-2, 1))
+wide_ints = st.one_of(
+    st.integers(-(2**70), 2**70),
+    small_ints,
+    edges.map(lambda u: u // 2),
+    edges.map(lambda u: -(u // 2)),
+)
+key_scalars = st.one_of(
+    wide_ints,
+    st.builds(Fraction, wide_ints, st.integers(1, 2**70) | st.integers(1, 4) | edges),
+    st.builds(Fraction, wide_ints),  # integral Fractions, zero among them
+)
+key_lists = st.lists(key_scalars, max_size=8)
+
+
+@st.composite
+def key_pairs(draw):
+    """Two scalar lists, often equal entry by entry or one entry apart."""
+    a = draw(key_lists)
+    how = draw(st.sampled_from(["same", "as_fractions", "one_entry", "any"]))
+    if how == "same":
+        return a, list(a)
+    if how == "as_fractions":
+        return a, [Fraction(v) for v in a]
+    if how == "one_entry" and a:
+        i = draw(st.integers(0, len(a) - 1))
+        return a, a[:i] + [draw(key_scalars)] + a[i + 1:]
+    return a, draw(key_lists)
+
+
+def _varint(u: int) -> bytes:
+    """LEB128: 7-bit groups, least significant first, continuation bit on all but the last."""
+    groups = [u >> shift & 0x7F for shift in range(0, max(u.bit_length(), 1), 7)]
+    return bytes([g | 0x80 for g in groups[:-1]] + groups[-1:])
+
+
+def _key_reference(values) -> bytes:
+    """Per scalar: varint of the zigzagged numerator, then varint of the denominator."""
+    return b"".join(
+        _varint(2 * f.numerator if f >= 0 else -2 * f.numerator - 1) + _varint(f.denominator)
+        for f in map(Fraction, values)
+    )
+
+
+@given(key_pairs())
+@settings(max_examples=400)
+def test_pack_scalars_is_an_injective_concatenative_key(pair):
+    a, b = pair
+    assert (pack_scalars(a) == pack_scalars(b)) == (a == b)
+    assert pack_scalars(a + b) == pack_scalars(a) + pack_scalars(b)
+    integral = [compact(Fraction(v)) for v in a if Fraction(v).denominator == 1]
+    assert pack_scalars(map(Fraction, integral)) == pack_scalars(integral)
+    assert pack_scalars(a) == _key_reference(a)
+
+
+def test_pack_scalars_golden_bytes():
+    # 1 -> 02 01, -1 -> 01 01, 1/2 -> 02 02, 0 -> 00 01
+    assert pack_scalars((1, -1, Fraction(1, 2), 0)).hex() == "0201010102020001"
+    # zigzag(-64) = 127 -> 7f; zigzag(64) = 128 -> 80 01; zigzag(-300) = 599 -> d7 04
+    assert pack_scalars((-64, 64, Fraction(-300, 7))).hex() == "7f01800101d70407"

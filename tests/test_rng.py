@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdzip.experiments import estimate_full_rank_prob
-from cpdzip.model import Alphabet, Distribution, ModelSpec
+from cpdzip.model import Alphabet, CpdzipError, Distribution, ModelSpec
 from cpdzip.rng import (
     DrawTable,
     RationalSampler,
@@ -53,6 +53,15 @@ MODELS = {
         ((_dist(Fraction(2**62, WIDE), Fraction(2**62 + 1, WIDE)),) * 2,) * 2,
     ),
 }
+
+def test_sampler_accepts_denominators_up_to_2_to_64():
+    exact = RationalSampler(_dist(Fraction(1, 2**64), Fraction(2**64 - 1, 2**64)))
+    assert exact.limit == 2**64  # every word is accepted
+    assert exact.draw_index(stream_rng(3, 0)) in (0, 1)
+    b = 2**64 + 1
+    with pytest.raises(CpdzipError, match=str(b)):
+        RationalSampler(_dist(Fraction(1, b), Fraction(b - 1, b)))
+
 
 # Per model and master seed: the rows of trials 0 and 1, one string per
 # independently sampled matrix, each entry as its alphabet index, rows

@@ -22,16 +22,12 @@ from cpdzip.tensors import (
     kruskal_condition,
     kruskal_rank,
     mat_mul,
-    matrix_dump_bytes,
     matrix_from_dict,
-    matrix_from_dump,
     matrix_to_dict,
     outer_product,
     rank_exact,
     solve_exact,
-    tensor_dump_bytes,
     tensor_from_dict,
-    tensor_from_dump,
     tensor_to_dict,
     transpose,
     unfold,
@@ -558,23 +554,6 @@ def test_tensor_json_round_trip():
 def test_matrix_json_round_trip():
     x = FactorMatrix(2, ((Fraction(1, 2), 1), (-1, Fraction(5, 3))))
     assert matrix_from_dict(matrix_to_dict(x)) == x
-
-
-def test_tensor_binary_dump_round_trip_and_golden():
-    t = ExactTensor(2, 2, (1, -1, Fraction(1, 2), 0))
-    blob = tensor_dump_bytes(t)
-    again, consumed = tensor_from_dump(blob)
-    assert again == t and consumed == len(blob)
-    # golden bytes: magic "CPDD", version, kind, order, dim u16, then per entry
-    # zigzag(num) + varint(den): 1 -> 02 01, -1 -> 01 01, 1/2 -> 02 02, 0 -> 00 01
-    assert blob.hex() == "4350444401000200020201010102020001"
-
-
-def test_matrix_binary_dump_round_trip():
-    x = FactorMatrix(3, ((1, Fraction(-2, 3)), (0, 4)))
-    blob = matrix_dump_bytes(x)
-    again, consumed = matrix_from_dump(blob)
-    assert again == x and consumed == len(blob)
 
 
 def test_json_readers_return_integral_values_as_int():

@@ -24,10 +24,8 @@ from cpdzip.typicality import (
     log_prob_matrix,
     matrix_probability,
     mode_space_size,
-    read_enumeration_dump,
     spectrum_samples,
     typicality_mass,
-    write_enumeration_dump,
 )
 
 SKEWED = Distribution((Fraction(1, 4), Fraction(3, 4)))  # P(-1)=1/4, P(1)=3/4
@@ -253,15 +251,6 @@ def test_spectrum_deterministic_given_seed():
     m = skewed_model(6)
     assert spectrum_samples(m, 50, seed=7) == spectrum_samples(m, 50, seed=7)
     assert spectrum_samples(m, 50, seed=7) != spectrum_samples(m, 50, seed=8)
-
-
-def test_enumeration_dump_round_trip(tmp_path):
-    m = skewed_model(3)
-    enum = enumerate_typical(m, TypicalityParams(Fraction(1, 4), 3), 1)
-    path = tmp_path / "enum.bin"
-    write_enumeration_dump(enum, path)
-    again = read_enumeration_dump(path)
-    assert again == list(enum.matrices)
 
 
 def test_mode_space_size():
