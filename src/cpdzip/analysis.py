@@ -1,9 +1,16 @@
 """Exact verification engine: factorization censuses, essential uniqueness,
 full-rank probability bounds, and closed-form zero-tensor probabilities.
 
-Everything here is exact: counts come from exhaustive enumeration (or a
-provably lossless column-space pruning of it), probabilities are rationals,
-and claimed relations between factor tuples are certified by multiplication.
+Everything here is exact: probabilities are rationals, and claimed relations
+between factor tuples are certified by multiplication.  Counts come from
+exhaustive enumeration, except the full-rank factorizations behind a
+uniqueness certificate.  Those are recovered by peeling one mode: for a
+full-rank tuple the Khatri-Rao product of modes 1..N-1 has full column rank,
+so the mode-N unfolding of T has rank R and column space span(X_N).  Each
+alphabet candidate X_N in that span fixes the other modes through one linear
+solve, up to the column scalings of rank-one factors, which are enumerated.
+The recovered set equals the brute-force one (a differential test checks
+it), at a cost polynomial in n instead of |A|^(nRN).
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
+from operator import mul
 
 from .model import (
     Alphabet,
@@ -28,8 +37,9 @@ from .tensors import (
     ExactTensor,
     FactorMatrix,
     FactorTuple,
-    khatri_rao_chain,
     mat_mul,
+    outer_product,
+    pivot_rows,
     rank_exact,
     replicate,
     solve_exact,
@@ -180,7 +190,20 @@ class UniquenessCertificate:
 
     @property
     def certified(self) -> bool:
-        return not self.violations
+        """No violations, and no more full-rank tuples than ``bound``.
+
+        The second condition follows from the first, and is checked so that a
+        fault in either count shows.  A related tuple is determined by its
+        relation to the reference.  At order >= 3 that is a permutation and,
+        per column, a tuple of mode ratios with product 1, each a ratio of
+        nonzero symbols (both columns are alphabet-valued and the reference's
+        are nonzero), and distinct tuples have distinct relations: at most
+        R! * (ratio tuples)^R, which is ``bound``.  At order 2 it is W with
+        other_1 = ref_1 W; on R rows P where ref_1 is invertible,
+        W = (ref_1)_P^-1 (other_1)_P, so W ranges over at most the invertible
+        R x R alphabet minors, at most ``bound``.
+        """
+        return not self.violations and self.full_rank_count <= self.bound
 
 
 def _column_ratio(ref_col, other_col) -> Fraction | None:
@@ -208,8 +231,12 @@ def find_perm_scaling(ref: FactorTuple, other: FactorTuple) -> PermScalingRelati
     Valid for full-rank reference tuples (their columns are pairwise
     non-proportional, so the permutation is unique if it exists).
     """
-    r_count = ref.components
-    ref_cols = [x.columns() for x in ref.matrices]
+    return _perm_scaling([x.columns() for x in ref.matrices], other)
+
+
+def _perm_scaling(ref_cols, other: FactorTuple) -> PermScalingRelation | None:
+    """``find_perm_scaling`` against a reference given by its columns per mode."""
+    r_count = len(ref_cols[0])
     other_cols = [x.columns() for x in other.matrices]
     permutation = []
     for rc in range(r_count):
@@ -224,16 +251,16 @@ def find_perm_scaling(ref: FactorTuple, other: FactorTuple) -> PermScalingRelati
     if len(set(permutation)) != r_count:
         return None
     lambdas = []
-    for i in range(ref.order):
+    for ref_i, other_i in zip(ref_cols, other_cols):
         lams = []
         for rc in range(r_count):
-            lam = _column_ratio(ref_cols[i][permutation[rc]], other_cols[i][rc])
+            lam = _column_ratio(ref_i[permutation[rc]], other_i[rc])
             if lam is None:
                 return None
             lams.append(lam)
         lambdas.append(tuple(lams))
     for rc in range(r_count):
-        if math.prod(lambdas[i][rc] for i in range(ref.order)) != 1:
+        if math.prod(lams[rc] for lams in lambdas) != 1:
             return None
     return PermScalingRelation(other, tuple(permutation), tuple(lambdas))
 
@@ -251,22 +278,24 @@ def find_w_relation(ref: FactorTuple, other: FactorTuple) -> WRelation | None:
     return WRelation(other, tuple(tuple(row) for row in w))
 
 
-def _relate(ref: FactorTuple, other: FactorTuple):
-    if ref.order >= 3:
-        return find_perm_scaling(ref, other)
-    return find_w_relation(ref, other)
+def _relation_to(ref: FactorTuple):
+    """The relation test of other tuples against ``ref``, which reads the
+    reference's columns once: P-Lambda at order >= 3, W at order 2."""
+    if ref.order < 3:
+        return partial(find_w_relation, ref)
+    return partial(_perm_scaling, [x.columns() for x in ref.matrices])
 
 
 def _equivalence_classes(tuples: list[FactorTuple]) -> tuple[tuple[int, ...], ...]:
-    classes: list[list[int]] = []
+    classes: list[tuple[object, list[int]]] = []
     for idx, ft in enumerate(tuples):
-        for group in classes:
-            if _relate(tuples[group[0]], ft) is not None:
+        for relate, group in classes:
+            if relate(ft) is not None:
                 group.append(idx)
                 break
         else:
-            classes.append([idx])
-    return tuple(tuple(g) for g in classes)
+            classes.append((_relation_to(ft), [idx]))
+    return tuple(tuple(g) for _, g in classes)
 
 
 def _tuple_sort_key(ft: FactorTuple):
@@ -274,74 +303,148 @@ def _tuple_sort_key(ft: FactorTuple):
     return tuple(v for x in ft.matrices for row in x.rows for v in row)
 
 
-def _column_basis(mat: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Rows of a maximal set of linearly independent columns (greedy)."""
-    basis: list[list[Scalar]] = [[] for _ in mat]
-    rank = 0
-    for col in zip(*mat):
-        for row, v in zip(basis, col):
-            row.append(v)
-        new_rank = rank_exact(basis)
-        if new_rank > rank:
-            rank = new_rank
-        else:
-            for row in basis:
-                row.pop()
-    return basis
+def _symbol_lookup(alphabet: Alphabet) -> dict[Scalar, Scalar]:
+    # Equal ints and Fractions hash alike, so one lookup both tests membership
+    # and returns the alphabet's own symbol (an int where integral).
+    return {s: s for s in alphabet.symbols}
 
 
-def _alphabet_vectors_in_span(basis_cols: list[list[Scalar]], alphabet, n: int):
-    """All alphabet-valued length-n vectors inside span(basis columns)."""
-    base_rank = rank_exact(basis_cols)
+def _quotient(num: Scalar, den: Scalar) -> Scalar:
+    """num / den exactly: int division when both are ints and it is exact."""
+    if type(num) is int and type(den) is int:
+        q, rem = divmod(num, den)
+        return q if rem == 0 else Fraction(num, den)
+    return Fraction(num) / den
+
+
+def _scaled(vector, a: Scalar, pivot: Scalar, symbols: dict) -> tuple[Scalar, ...] | None:
+    """``a * vector / pivot`` as alphabet symbols, or None if an entry is not one."""
     out = []
-    for vec in product(alphabet.symbols, repeat=n):
-        rows = [list(brow) + [v] for brow, v in zip(basis_cols, vec)]
-        if rank_exact(rows) == base_rank:
-            out.append(vec)
+    for v in vector:
+        s = symbols.get(_quotient(a * v, pivot))
+        if s is None:
+            return None
+        out.append(s)
+    return tuple(out)
+
+
+def _span_vectors(u, u_p, alphabet: Alphabet) -> list[tuple[tuple, tuple]]:
+    """Every nonzero alphabet vector in the column space of ``u``, with its
+    values on the pivot rows ``u_p`` (a row basis of ``u``).
+
+    The rows of U are combinations of its pivot rows, U = C U_P, and C is the
+    identity on the pivot rows.  So span(U) = {C y}, and C y takes the values
+    y on the pivot rows: the |A|^k choices of y (k = rank U) replace a rank
+    test of each of the |A|^n alphabet vectors.
+    """
+    c = transpose(solve_exact(transpose(u_p), transpose(u)))
+    symbols = _symbol_lookup(alphabet)
+    out = []
+    for y in product(alphabet.symbols, repeat=len(u_p)):
+        if not any(y):
+            continue
+        vec = tuple(symbols.get(sum(map(mul, row, y))) for row in c)
+        if None not in vec:
+            out.append((vec, y))
     return out
 
 
-def _candidate_matrices(t: ExactTensor, m: ModelSpec, mode: int) -> list[FactorMatrix]:
-    """Full-rank alphabet matrices whose column space can generate T in ``mode``.
+def _rank_one_factors(row: tuple, n: int, symbols: list[dict]) -> list[tuple[tuple, ...]]:
+    """Every alphabet-valued (x_1, ..., x_M) whose outer product is ``row``.
 
-    For any full-rank co-generating tuple, the mode-``mode`` unfolding of T has
-    column space equal to that of X_mode (the Khatri-Rao chain of the other
-    modes has full column rank), so every admissible column lies in it.
+    ``row`` is an order-M tensor with mode 1 varying fastest, and
+    ``symbols[j]`` is mode j+1's symbol lookup.  Take the fibers f_j through
+    the first nonzero entry p.  The tensor is rank one exactly when every
+    entry times p^(M-1) equals the product of the fiber entries at its index,
+    and then its factorizations are x_j = a_j f_j / p with prod_j a_j = p.
+    Each a_j is the pivot entry of x_j, so a nonzero symbol: the leading
+    modes try each one, and the last mode takes the remaining quotient.
     """
-    r = m.components
-    u = unfold(t, mode)
-    if rank_exact(u) != r:
+    k = next((k for k, v in enumerate(row) if v), None)
+    if k is None:
         return []
-    vectors = _alphabet_vectors_in_span(_column_basis(u), m.alphabet(mode), m.dim)
+    pivot = row[k]
+    fibers = []
+    for j in range(len(symbols)):
+        stride = n**j
+        start = k - (k // stride % n) * stride
+        fibers.append(row[start : start + n * stride : stride])
+    scale = pivot ** (len(symbols) - 1)
+    outer = outer_product(fibers[::-1]).entries
+    if any(e * scale != o for e, o in zip(row, outer)):
+        return []
+    *leading, last = symbols
+    options = [
+        [(a, x) for a in syms if a and (x := _scaled(f, a, pivot, syms)) is not None]
+        for f, syms in zip(fibers, leading)
+    ]
+    closing = {a: x for a in last if a and (x := _scaled(fibers[-1], a, pivot, last)) is not None}
     out = []
-    for cols in product(vectors, repeat=r):
-        rows = tuple(tuple(col[j] for col in cols) for j in range(m.dim))
-        if rank_exact(rows) == r:
-            out.append(FactorMatrix(mode, rows, m.alphabet(mode)))
+    for combo in product(*options):
+        x_last = closing.get(_quotient(pivot, math.prod(a for a, _ in combo)))
+        if x_last is not None:
+            out.append(tuple(x for _, x in combo) + (x_last,))
     return out
 
 
 def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
-    """All full-rank tuples composing to ``t`` via column-space pruning.
+    """All full-rank alphabet tuples composing to ``t``, by peeling mode N.
 
-    Candidates for modes 2..N fix X_1 through their Khatri-Rao chain, which
-    at N = 2 is X_2 itself.
+    With U = unfold(T, N) and K = X_(N-1) (*) ... (*) X_1, T composes from
+    the tuple exactly when U = X_N K^T.  For a full-rank tuple K has full
+    column rank too (the k-rank of a Khatri-Rao product; Sidiropoulos and Bro
+    2000), so U has rank R and its column space is span(X_N).  A rank other
+    than R therefore means no full-rank tuple exists.
+
+    Otherwise every candidate X_N is an R-tuple of alphabet vectors in
+    span(U), X_N = C Y with Y their values on R pivot rows of U.  Then
+    X_N K^T = U = C U_P holds exactly when K^T = Y^-1 U_P (C has full column
+    rank), so one R x R solve fixes K, and a singular Y rules the candidate
+    out (rank X_N = rank Y).  Row r of K^T is the outer product of the r-th
+    columns of modes N-1..1; each distinct row is factored once, over every
+    alphabet-valued scaling.  Every combination of row factorizations whose
+    matrices all have full rank is a tuple composing to T, and every
+    full-rank tuple arises this way from its own X_N, so the set equals brute
+    force's full-rank set.
     """
-    r = m.components
-    candidates = [_candidate_matrices(t, m, i) for i in range(2, m.order + 1)]
-    target_unfolded = transpose(unfold(t, 1))  # (X_N (*) ... (*) X_2) X_1^T
-    alphabet1 = m.alphabet(1)
+    r, n, order = m.components, m.dim, m.order
+    u = unfold(t, order)
+    pivots = pivot_rows(u)
+    if len(pivots) != r:
+        return []
+    u_p = [u[p] for p in pivots]
+    alphabet_n = m.alphabet(order)
+    vectors = _span_vectors(u, u_p, alphabet_n)
+    leading = [m.alphabet(i) for i in range(1, order)]
+    symbols = [_symbol_lookup(a) for a in leading]
+    factors: dict[tuple, list[tuple[tuple, ...]]] = {}  # row of K^T -> factorizations
+    # (mode, columns) -> one FactorMatrix, held by every tuple that uses it
+    shared: dict[tuple, FactorMatrix] = {}
     result = []
-    for rest in product(*candidates):
-        chain = khatri_rao_chain([x.rows for x in reversed(rest)])
-        sol = solve_exact(chain, target_unfolded)
-        if sol is None:
+    for cols in product(vectors, repeat=r):
+        k_t = solve_exact([[y[p] for _, y in cols] for p in range(r)], u_p)
+        if k_t is None:
             continue
-        rows = tuple(tuple(row) for row in transpose(sol))
-        x1 = FactorMatrix(1, rows, alphabet1)
-        if not x1.conforms(alphabet1) or rank_exact(x1.rows) != r:
-            continue
-        result.append(FactorTuple((x1,) + tuple(rest)))
+        per_row = []
+        for row in map(tuple, k_t):
+            if row not in factors:
+                factors[row] = _rank_one_factors(row, n, symbols)
+            per_row.append(factors[row])
+        combos = []
+        for combo in product(*per_row):
+            mats = []
+            for j, a in enumerate(leading, 1):
+                columns = tuple(c[j - 1] for c in combo)
+                x = shared.get((j, columns))
+                if x is None:
+                    x = shared[j, columns] = FactorMatrix(j, tuple(zip(*columns)), a)
+                mats.append(x)
+            combos.append(tuple(mats))
+        # The combinations differ only by nonzero column scalings, which keep
+        # every matrix's rank: the first one decides for all.
+        if combos and all(rank_exact(x.rows) == r for x in combos[0]):
+            x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))), alphabet_n)
+            result.extend(FactorTuple(mats + (x_n,)) for mats in combos)
     return sorted(result, key=_tuple_sort_key)
 
 
@@ -357,20 +460,26 @@ def uniqueness_census(
     a shared column permutation and per-mode diagonal scalings with product
     identity; for order 2 by an invertible W.  Any unrelated pair is reported
     as a violation (it would falsify the uniqueness bound at this instance).
+
+    The full-rank tuples come from the peel-one-mode search of
+    ``_full_rank_cogenerators``, whose cost does not grow with the tuple
+    space.  Supersymmetric models have no such search yet: they sweep every
+    matrix, refused above the fixed ``_BRUTE_SPACE_CAP``, and ``budget``
+    bounds that sweep only.
     """
     if m.order < 2:
         raise UnsupportedModelError("uniqueness census needs order >= 2")
-    space = math.prod(mode_space_size(m, i) for i in range(1, m.independent_matrices + 1))
-    if m.supersymmetric and space > _BRUTE_SPACE_CAP:
-        # Supersymmetric tuples have no pruned search, and no budget lifts the cap.
-        raise UnsupportedModelError(
-            f"uniqueness census of a supersymmetric model searches all {space} tuples, "
-            f"above the fixed brute-force cap of {_BRUTE_SPACE_CAP} tuples"
-        )
-    if m.supersymmetric or space <= min(budget, _BRUTE_SPACE_CAP):
-        census = count_factorizations(
-            t, m, full_rank_only=True, budget=min(budget, _BRUTE_SPACE_CAP)
-        )
+    if t.order != m.order or t.dim != m.dim:
+        raise CpdzipError("target tensor shape does not match the model")
+    if m.supersymmetric:
+        space = mode_space_size(m, 1)
+        if space > _BRUTE_SPACE_CAP:
+            # No budget lifts the cap.
+            raise UnsupportedModelError(
+                f"uniqueness census of a supersymmetric model searches all {space} tuples, "
+                f"above the fixed brute-force cap of {_BRUTE_SPACE_CAP} tuples"
+            )
+        census = count_factorizations(t, m, full_rank_only=True, budget=budget)
         tuples = sorted(census.full_rank_tuples, key=_tuple_sort_key)
     else:
         tuples = _full_rank_cogenerators(t, m)
@@ -378,10 +487,11 @@ def uniqueness_census(
         raise CpdzipError("no full-rank factorization of the target tensor exists")
 
     reference = tuples[0]
+    relate = _relation_to(reference)
     relations = []
     violations = []
     for other in tuples[1:]:
-        rel = _relate(reference, other)
+        rel = relate(other)
         if rel is None:
             violations.append(other)
         else:
@@ -412,10 +522,11 @@ def gamma_bound(m: ModelSpec) -> int:
     mode i scaled by lambda_(i,r), with prod_i lambda_(i,r) = 1.  Both columns
     are alphabet-valued, so lambda_(i,r) is a ratio of nonzero mode-i symbols;
     the bound is R! times (number of such ratio tuples with product 1) per
-    column.  It holds for a certified census; ``certified`` itself does not
-    compare the count with it.  Order 2: relations are invertible W = A^-1 B
-    with A, B invertible R x R alphabet minors, bounded by the squared count
-    of invertible R x R alphabet matrices.
+    column.  ``UniquenessCertificate.certified`` requires the count to be
+    within it, which a violation-free census already implies.  Order 2:
+    relations are invertible W = A^-1 B with A, B invertible R x R alphabet
+    minors, bounded by the squared count of invertible R x R alphabet
+    matrices.
     """
     r = m.components
     if m.order >= 3:

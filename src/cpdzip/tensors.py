@@ -372,11 +372,18 @@ def _bareiss_row(row: list[int], top: list[int], col: int, prev: int) -> list[in
     return out
 
 
-def rank_exact(m: Matrix) -> int:
-    """Exact matrix rank by fraction-free Bareiss elimination with pivoting."""
+def pivot_rows(m: Matrix) -> list[int]:
+    """Ascending indices of a maximal linearly independent set of rows.
+
+    Fraction-free (Bareiss) elimination with row pivoting.  Each eliminated
+    pivot row is a nonzero multiple of its original row plus a combination of
+    earlier pivot rows, so the original rows at the pivot positions span the
+    row space; their number is the rank.
+    """
     rows = _integer_rows(m)
     if not rows or not rows[0]:
-        return 0
+        return []
+    order = list(range(len(rows)))
     n_rows, n_cols = len(rows), len(rows[0])
     rank = 0
     prev = 1
@@ -385,6 +392,7 @@ def rank_exact(m: Matrix) -> int:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        order[rank], order[pivot_row] = order[pivot_row], order[rank]
         top = rows[rank]
         for i in range(rank + 1, n_rows):
             rows[i] = _bareiss_row(rows[i], top, col, prev)
@@ -392,7 +400,12 @@ def rank_exact(m: Matrix) -> int:
         rank += 1
         if rank == n_rows:
             break
-    return rank
+    return sorted(order[:rank])
+
+
+def rank_exact(m: Matrix) -> int:
+    """Exact matrix rank by fraction-free Bareiss elimination with pivoting."""
+    return len(pivot_rows(m))
 
 
 def kruskal_rank(m: Matrix) -> int:

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cpdzip import analysis
 from cpdzip.analysis import (
     CheckRow,
     PermScalingRelation,
@@ -295,7 +297,7 @@ def order3_instances(draw):
 @settings(max_examples=20, deadline=None)
 def test_gamma_bound_caps_brute_force_counts_of_certified_tensors(instance):
     m, t = instance
-    cert = uniqueness_census(t, m)  # brute force: the space is within the cap
+    cert = uniqueness_census(t, m)  # the peeled search; a differential test checks it
     assert cert.bound == gamma_bound(m)
     if cert.certified:
         assert cert.full_rank_count <= cert.bound
@@ -414,6 +416,57 @@ def test_pruned_census_finds_non_integral_column_ratios():
     assert lambdas == {Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1)}
 
 
+@st.composite
+def cogenerator_instances(draw):
+    """A model of order 2-4 over small alphabets (zero and 1/2 allowed) with at
+    most 2^16 tuples, and the tensor of any tuple, of full rank or not."""
+    order = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 2))
+    symbols = st.sets(st.sampled_from(SMALL_SYMBOLS), min_size=2, max_size=3)
+    alphabets = tuple(Alphabet(tuple(sorted(draw(symbols)))) for _ in range(order))
+    per_row = math.prod(a.size for a in alphabets) ** r  # the space is per_row^n
+    n = draw(st.integers(1, max(k for k in range(1, 5) if per_row**k <= 1 << 16)))
+    m = ModelSpec(order, n, r, alphabets, tuple((uniform(a.size),) * r for a in alphabets))
+    mats = []
+    for i, a in enumerate(alphabets, 1):
+        entry = st.sampled_from(a.symbols)
+        mats.append(FactorMatrix(i, tuple(tuple(draw(entry) for _ in range(r)) for _ in range(n))))
+    return m, cpd_compose(FactorTuple(mats))
+
+
+ZERO_ONE = Alphabet((0, 1))
+EYE = ((1, 0), (0, 1))
+
+
+@given(cogenerator_instances())
+@example((  # the identity over {0, 1}: its two factorizations have zeros on the pivot rows
+    ModelSpec(2, 2, 2, (ZERO_ONE,) * 2, ((uniform(2),) * 2,) * 2),
+    cpd_compose(FactorTuple((FactorMatrix(1, EYE), FactorMatrix(2, EYE)))),
+))
+@settings(max_examples=200, deadline=None)
+def test_peeled_search_equals_the_brute_force_full_rank_set(instance):
+    m, t = instance
+    brute = count_factorizations(t, m, full_rank_only=True, budget=1 << 16)
+    assert _full_rank_cogenerators(t, m) == sorted(brute.full_rank_tuples, key=_tuple_sort_key)
+
+
+def test_census_cost_is_polynomial_in_n(monkeypatch):
+    # Testing each of the |A|^n alphabet vectors for span membership would
+    # make 2^16 rank calls here; the peeled search makes a few dozen.
+    calls = Counter()
+    for name in ("pivot_rows", "rank_exact", "solve_exact"):
+        def counted(*args, _fn=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    n = 16
+    m = generic_sign_model(n)
+    cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
+    assert cert.certified and cert.full_rank_count == cert.bound == 32
+    assert 0 < sum(calls.values()) <= 64 * n
+
+
 PINNED_REFERENCE = (
     ((-1, -1), (-1, -1), (-1, 1), (1, 1)),
     ((-1, -1), (-1, -1), (1, -1), (-1, -1)),
@@ -471,6 +524,12 @@ def test_uniqueness_census_requires_full_rank_generator():
     m = generic_sign_model(3)
     with pytest.raises(CpdzipError):
         uniqueness_census(zero_tensor(3, 3), m)
+
+
+def test_uniqueness_census_refuses_a_tensor_of_another_shape():
+    t = cpd_compose(full_rank_sample(generic_sign_model(3), 103, 0))
+    with pytest.raises(CpdzipError, match="shape"):
+        uniqueness_census(t, generic_sign_model(4))
 
 
 def test_find_perm_scaling_detects_column_swap():

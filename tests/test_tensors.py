@@ -25,6 +25,7 @@ from cpdzip.tensors import (
     matrix_from_dict,
     matrix_to_dict,
     outer_product,
+    pivot_rows,
     rank_exact,
     solve_exact,
     tensor_from_dict,
@@ -408,6 +409,17 @@ def test_kruskal_rank_never_exceeds_rank(m):
     assert 0 <= k <= r
     if r == 3:  # full column rank forces equality
         assert k == r
+
+
+@given(matrix_strategy(5, 2), matrix_strategy(2, 3))
+@settings(max_examples=60)
+def test_pivot_rows_are_a_row_basis(a, b):
+    # a product through two columns has rank <= 2 with five rows: some rows
+    # must be skipped
+    for m in (mat_mul(a, b), a):
+        rows = pivot_rows(m)
+        assert rows == sorted(set(rows))
+        assert len(rows) == rank_exact([m[i] for i in rows]) == rank_oracle(m)
 
 
 @given(matrix_strategy(2, 2), matrix_strategy(2, 2), matrix_strategy(2, 2))
