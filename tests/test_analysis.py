@@ -299,8 +299,11 @@ def test_gamma_bound_caps_brute_force_counts_of_certified_tensors(instance):
     m, t = instance
     cert = uniqueness_census(t, m)  # the peeled search; a differential test checks it
     assert cert.bound == gamma_bound(m)
-    if cert.certified:
+    # a violation-free census stays within the bound, which is why
+    # ``certified`` may require both
+    if not cert.violations:
         assert cert.full_rank_count <= cert.bound
+        assert cert.certified
 
 
 def test_gamma_bound_order2_counts_invertible_minors():
@@ -325,8 +328,9 @@ def test_uniqueness_census_order3_certifies_all():
     for trial in range(5):
         ft = full_rank_sample(m, 101, trial)
         cert = uniqueness_census(cpd_compose(ft), m)
-        assert cert.certified
+        assert cert.violations == ()
         assert cert.full_rank_count <= cert.bound
+        assert cert.certified
         assert len(cert.relations) == cert.full_rank_count - 1
         for rel in cert.relations:
             assert isinstance(rel, PermScalingRelation)
@@ -400,7 +404,7 @@ def test_pruned_census_matches_brute_force_off_the_sign_alphabet(m, trial):
     assert len(pruned) >= 2
     assert pruned == sorted(brute.full_rank_tuples, key=_tuple_sort_key)
     assert any(type(v) is Fraction for x in pruned[0].matrices for row in x.rows for v in row)
-    cert = uniqueness_census(t, m, budget=1)  # below the space size: the pruned path
+    cert = uniqueness_census(t, m)
     assert cert.certified and cert.full_rank_count == len(pruned)
     for rel in cert.relations:
         if m.order == 2:
@@ -411,7 +415,7 @@ def test_pruned_census_matches_brute_force_off_the_sign_alphabet(m, trial):
 
 def test_pruned_census_finds_non_integral_column_ratios():
     m = fractional_model(3, 2, (HALVES, SIGNS, NEG_HALF))
-    cert = uniqueness_census(cpd_compose(full_rank_sample(m, 7, 11)), m, budget=1)
+    cert = uniqueness_census(cpd_compose(full_rank_sample(m, 7, 11)), m)
     lambdas = {lam for rel in cert.relations for lams in rel.lambdas for lam in lams}
     assert lambdas == {Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1)}
 
