@@ -11,6 +11,11 @@ alphabet candidate X_N in that span fixes the other modes through one linear
 solve, up to the column scalings of rank-one factors, which are enumerated.
 The recovered set equals the brute-force one (a differential test checks
 it), at a cost polynomial in n instead of |A|^(nRN).
+
+The relations between tuples and the uniqueness bound are checked in the
+scalars the factor matrices hold.  Column ratios are compared by
+cross-multiplication and multiplied as (numerator, denominator) pairs; a
+Fraction is built only for a lambda a relation reports, once per value.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .tensors import (
     ExactTensor,
     FactorMatrix,
     FactorTuple,
+    ShapeError,
     mat_mul,
     outer_product,
     pivot_rows,
@@ -206,11 +212,21 @@ class UniquenessCertificate:
         return not self.violations and self.full_rank_count <= self.bound
 
 
-def _column_ratio(ref_col, other_col) -> Fraction | None:
-    """lambda with other = lambda * ref, or None; zero columns yield None.
+def _check_same_shape(ref: FactorTuple, other: FactorTuple) -> None:
+    shapes = [(ft.order, ft.dim, ft.components) for ft in (ref, other)]
+    if shapes[0] != shapes[1]:
+        (o1, n1, r1), (o2, n2, r2) = shapes
+        raise ShapeError(
+            f"cannot relate an order-{o2} tuple with n={n2}, R={r2} to an "
+            f"order-{o1} reference with n={n1}, R={r1}"
+        )
 
-    Pairs are compared by cross-multiplication against the first nonzero
-    pair (a0, b0); the one Fraction b0 / a0 is built once the columns match.
+
+def _ratio_pair(ref_col, other_col) -> tuple[Scalar, Scalar] | None:
+    """(b0, a0) with other = (b0 / a0) * ref, or None; zero columns yield None.
+
+    (a0, b0) is the first pair of entries that is not (0, 0); every other
+    pair (a, b) is compared with it by cross-multiplication, b * a0 == b0 * a.
     """
     a0 = b0 = None
     for a, b in zip(ref_col, other_col):
@@ -222,51 +238,93 @@ def _column_ratio(ref_col, other_col) -> Fraction | None:
             a0, b0 = a, b
         elif b * a0 != b0 * a:
             return None
-    return None if a0 is None else Fraction(b0) / Fraction(a0)
+    return None if a0 is None else (b0, a0)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num / den (den nonzero) as a reduced pair with a positive denominator."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def _lambda(pair: tuple[Scalar, Scalar], fractions: dict) -> Fraction:
+    """The Fraction b / a of a ratio pair (b, a), built once per value.
+
+    ``fractions`` maps each pair seen to its Fraction, and each reduced int
+    pair (num, den > 0) to the one Fraction built for that value.  A raw
+    pair equal to a reduced one has the same value, so one dict holds both.
+    """
+    lam = fractions.get(pair)
+    if lam is None:
+        b, a = pair
+        key = _reduced(b.numerator * a.denominator, b.denominator * a.numerator)
+        lam = fractions.get(key)
+        if lam is None:
+            lam = fractions[key] = Fraction(*key)
+        fractions[pair] = lam
+    return lam
 
 
 def find_perm_scaling(ref: FactorTuple, other: FactorTuple) -> PermScalingRelation | None:
     """Exact (P, Lambda_i) relation between two tuples, or None.
 
     Valid for full-rank reference tuples (their columns are pairwise
-    non-proportional, so the permutation is unique if it exists).
+    non-proportional, so the permutation is unique if it exists).  Tuples
+    that differ in order, n or R raise ShapeError.
     """
-    return _perm_scaling([x.columns() for x in ref.matrices], other)
+    _check_same_shape(ref, other)
+    return _perm_scaling([x.columns() for x in ref.matrices], {}, other)
 
 
-def _perm_scaling(ref_cols, other: FactorTuple) -> PermScalingRelation | None:
-    """``find_perm_scaling`` against a reference given by its columns per mode."""
+def _perm_scaling(ref_cols, fractions: dict, other: FactorTuple) -> PermScalingRelation | None:
+    """``find_perm_scaling`` against a reference given by its columns per mode.
+
+    Every check runs in the scalars the columns hold: each column pair
+    yields a ratio pair (b0, a0) whose other entries are compared by
+    cross-multiplication, and a column's product-1 check over the modes is
+    prod b0 == prod a0, exact as every a0 is nonzero.  Only the lambdas of
+    a relation found become Fractions, one per value through ``fractions``,
+    which the caller keeps across calls against the same reference.
+    """
     r_count = len(ref_cols[0])
-    other_cols = [x.columns() for x in other.matrices]
+    other_cols = [list(zip(*x.rows)) for x in other.matrices]
     permutation = []
-    for rc in range(r_count):
-        match = None
-        for ref_c in range(r_count):
-            if _column_ratio(ref_cols[0][ref_c], other_cols[0][rc]) is not None:
-                match = ref_c
+    first = []
+    for col in other_cols[0]:
+        for ref_c, ref_col in enumerate(ref_cols[0]):
+            pair = _ratio_pair(ref_col, col)
+            if pair is not None:
+                permutation.append(ref_c)
+                first.append(pair)
                 break
-        if match is None:
+        else:
             return None
-        permutation.append(match)
     if len(set(permutation)) != r_count:
         return None
-    lambdas = []
-    for ref_i, other_i in zip(ref_cols, other_cols):
-        lams = []
-        for rc in range(r_count):
-            lam = _column_ratio(ref_i[permutation[rc]], other_i[rc])
-            if lam is None:
+    pairs = [first]
+    for ref_i, other_i in zip(ref_cols[1:], other_cols[1:]):
+        mode = []
+        for ref_c, col in zip(permutation, other_i):
+            pair = _ratio_pair(ref_i[ref_c], col)
+            if pair is None:
                 return None
-            lams.append(lam)
-        lambdas.append(tuple(lams))
-    for rc in range(r_count):
-        if math.prod(lams[rc] for lams in lambdas) != 1:
+            mode.append(pair)
+        pairs.append(mode)
+    for column in zip(*pairs):
+        if math.prod(b for b, _ in column) != math.prod(a for _, a in column):
             return None
-    return PermScalingRelation(other, tuple(permutation), tuple(lambdas))
+    lambdas = tuple(tuple(_lambda(p, fractions) for p in mode) for mode in pairs)
+    return PermScalingRelation(other, tuple(permutation), lambdas)
 
 
 def find_w_relation(ref: FactorTuple, other: FactorTuple) -> WRelation | None:
-    """Exact invertible W with other_1 = ref_1 W, other_2 = ref_2 (W^-1)^T."""
+    """Exact invertible W with other_1 = ref_1 W, other_2 = ref_2 (W^-1)^T.
+
+    Both tuples must be of order 2 and of one shape; otherwise ShapeError.
+    """
+    _check_same_shape(ref, other)
+    if ref.order != 2:
+        raise ShapeError(f"a W relation needs order-2 tuples, got order {ref.order}")
     x1, x2 = ref.matrices
     y1, y2 = other.matrices
     w = solve_exact(x1.rows, y1.rows)
@@ -280,10 +338,12 @@ def find_w_relation(ref: FactorTuple, other: FactorTuple) -> WRelation | None:
 
 def _relation_to(ref: FactorTuple):
     """The relation test of other tuples against ``ref``, which reads the
-    reference's columns once: P-Lambda at order >= 3, W at order 2."""
+    reference's columns once: P-Lambda at order >= 3, W at order 2.  The
+    P-Lambda test owns the dict that builds each lambda value's Fraction
+    once over all its calls."""
     if ref.order < 3:
         return partial(find_w_relation, ref)
-    return partial(_perm_scaling, [x.columns() for x in ref.matrices])
+    return partial(_perm_scaling, [x.columns() for x in ref.matrices], {})
 
 
 def _equivalence_classes(tuples: list[FactorTuple]) -> tuple[tuple[int, ...], ...]:
@@ -508,10 +568,17 @@ def uniqueness_census(
 # --- the uniqueness bound -------------------------------------------------------
 
 
-def _symbol_ratios(alphabet: Alphabet) -> set[Fraction]:
-    """Every ratio b / a of nonzero symbols: the scalings one column can take."""
-    nonzero = [Fraction(s) for s in alphabet.symbols if s != 0]
-    return {b / a for a in nonzero for b in nonzero}
+def _symbol_ratios(alphabet: Alphabet) -> set[tuple[int, int]]:
+    """Every ratio b / a of nonzero symbols, the scalings one column can
+    take, as reduced int pairs (num, den > 0).
+
+    The symbols are first scaled by the lcm of their denominators, which
+    leaves every ratio as it is and makes them ints.
+    """
+    nonzero = [s for s in alphabet.symbols if s != 0]
+    lcm = math.lcm(*(s.denominator for s in nonzero))
+    ints = [s.numerator * (lcm // s.denominator) for s in nonzero]
+    return {_reduced(b, a) for a in ints for b in ints}
 
 
 def gamma_bound(m: ModelSpec) -> int:
@@ -523,15 +590,24 @@ def gamma_bound(m: ModelSpec) -> int:
     are alphabet-valued, so lambda_(i,r) is a ratio of nonzero mode-i symbols;
     the bound is R! times (number of such ratio tuples with product 1) per
     column.  ``UniquenessCertificate.certified`` requires the count to be
-    within it, which a violation-free census already implies.  Order 2:
-    relations are invertible W = A^-1 B with A, B invertible R x R alphabet
-    minors, bounded by the squared count of invertible R x R alphabet
+    within it, which a violation-free census already implies.  The count
+    runs on reduced int ratio pairs: it tallies the products of ratios over
+    modes 1..N-1, and a product counts when its inverse is a mode-N ratio.
+    Order 2: relations are invertible W = A^-1 B with A, B invertible R x R
+    alphabet minors, bounded by the squared count of invertible R x R alphabet
     matrices.
     """
     r = m.components
     if m.order >= 3:
-        per_mode = [_symbol_ratios(m.alphabet(i)) for i in range(1, m.order + 1)]
-        per_column = sum(1 for lams in product(*per_mode) if math.prod(lams) == 1)
+        *leading, last = (_symbol_ratios(m.alphabet(i)) for i in range(1, m.order + 1))
+        products = Counter({(1, 1): 1})
+        for ratios in leading:
+            step = Counter()
+            for (p, q), count in products.items():
+                for b, a in ratios:
+                    step[_reduced(p * b, q * a)] += count
+            products = step
+        per_column = sum(c for (p, q), c in products.items() if _reduced(q, p) in last)
         return math.factorial(r) * per_column**r
     alphabet = m.alphabet(1)
     minors = alphabet.size ** (r * r)

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -43,6 +44,7 @@ from cpdzip.rng import sample_tuple, stream_rng
 from cpdzip.tensors import (
     FactorMatrix,
     FactorTuple,
+    ShapeError,
     cpd_compose,
     rank_exact,
     zero_tensor,
@@ -312,6 +314,33 @@ def test_gamma_bound_order2_counts_invertible_minors():
     assert gamma_bound(m) == 64
 
 
+def fraction_gamma_bound(m):
+    """The order >= 3 bound counted on Fractions: the reference for the int count."""
+    per_mode = []
+    for i in range(1, m.order + 1):
+        nonzero = [Fraction(s) for s in m.alphabet(i).symbols if s != 0]
+        per_mode.append({b / a for a in nonzero for b in nonzero})
+    per_column = sum(1 for lams in product(*per_mode) if math.prod(lams) == 1)
+    return math.factorial(m.components) * per_column**m.components
+
+
+@given(
+    st.integers(3, 4).flatmap(
+        lambda order: st.lists(
+            st.sets(st.sampled_from(SMALL_SYMBOLS), min_size=2, max_size=3),
+            min_size=order,
+            max_size=order,
+        )
+    ),
+    st.integers(1, 2),
+)
+@settings(max_examples=100, deadline=None)
+def test_gamma_bound_equals_the_fraction_count(symbol_sets, r):
+    alphabets = tuple(Alphabet(tuple(sorted(s))) for s in symbol_sets)
+    m = ModelSpec(len(alphabets), 2, r, alphabets, tuple((uniform(a.size),) * r for a in alphabets))
+    assert gamma_bound(m) == fraction_gamma_bound(m)
+
+
 # --- essential uniqueness ------------------------------------------------------------
 
 
@@ -471,6 +500,23 @@ def test_census_cost_is_polynomial_in_n(monkeypatch):
     assert 0 < sum(calls.values()) <= 64 * n
 
 
+def test_census_builds_one_fraction_per_distinct_lambda(monkeypatch):
+    # The relation checks run on the scalars the columns hold; a Fraction is
+    # built only for a reported lambda, once per value.
+    built = []
+
+    def counted(*args, _fraction=Fraction):
+        built.append(args)
+        return _fraction(*args)
+
+    monkeypatch.setattr(analysis, "Fraction", counted)
+    m = generic_sign_model(16)
+    cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
+    values = {lam for rel in cert.relations for lams in rel.lambdas for lam in lams}
+    assert cert.certified and values == {Fraction(-1), Fraction(1)}
+    assert len(built) <= len(values)
+
+
 PINNED_REFERENCE = (
     ((-1, -1), (-1, -1), (-1, 1), (1, 1)),
     ((-1, -1), (-1, -1), (1, -1), (-1, -1)),
@@ -567,6 +613,145 @@ def test_find_w_relation_certifies_inverse_transpose_pair():
     rel = find_w_relation(ref, FactorTuple((y1, y2)))
     assert rel is not None
     assert rel.w == ((0, 1), (1, 0))
+
+
+def sign_tuple(order, n, r):
+    return full_rank_sample(generic_sign_model(n, order, r), 113, 0)
+
+
+SHAPE_MISMATCHES = [  # (order, n, R) of the reference, then of the other tuple
+    ((3, 3, 2), (3, 4, 2)),
+    ((3, 3, 2), (2, 3, 2)),
+    ((3, 3, 2), (3, 3, 1)),
+]
+
+
+def both_shapes(ref_shape, other_shape):
+    """A pattern for a message naming the other tuple's shape, then the reference's."""
+    (o1, n1, r1), (o2, n2, r2) = ref_shape, other_shape
+    return f"order-{o2} .*n={n2}, R={r2} .*order-{o1} .*n={n1}, R={r1}"
+
+
+@pytest.mark.parametrize("ref_shape, other_shape", SHAPE_MISMATCHES)
+def test_find_perm_scaling_refuses_tuples_of_different_shapes(ref_shape, other_shape):
+    with pytest.raises(ShapeError, match=both_shapes(ref_shape, other_shape)):
+        find_perm_scaling(sign_tuple(*ref_shape), sign_tuple(*other_shape))
+
+
+@pytest.mark.parametrize(
+    "ref_shape, other_shape", [((2, 3, 2), (3, 3, 2)), ((2, 3, 2), (2, 4, 2))]
+)
+def test_find_w_relation_refuses_tuples_of_different_shapes(ref_shape, other_shape):
+    with pytest.raises(ShapeError, match=both_shapes(ref_shape, other_shape)):
+        find_w_relation(sign_tuple(*ref_shape), sign_tuple(*other_shape))
+
+
+def test_find_w_relation_refuses_order3_tuples():
+    with pytest.raises(ShapeError, match="order-2"):
+        find_w_relation(sign_tuple(3, 3, 2), sign_tuple(3, 3, 2))
+
+
+def fraction_column_ratio(ref_col, other_col):
+    a0 = b0 = None
+    for a, b in zip(ref_col, other_col):
+        if a == 0 and b == 0:
+            continue
+        if a == 0 or b == 0:
+            return None
+        if a0 is None:
+            a0, b0 = a, b
+        elif b * a0 != b0 * a:
+            return None
+    return None if a0 is None else Fraction(b0) / Fraction(a0)
+
+
+def fraction_perm_scaling(ref, other):
+    """The relation check run on Fractions: the reference for the int checks."""
+    ref_cols = [x.columns() for x in ref.matrices]
+    other_cols = [x.columns() for x in other.matrices]
+    r_count = len(ref_cols[0])
+    permutation = []
+    for rc in range(r_count):
+        match = None
+        for ref_c in range(r_count):
+            if fraction_column_ratio(ref_cols[0][ref_c], other_cols[0][rc]) is not None:
+                match = ref_c
+                break
+        if match is None:
+            return None
+        permutation.append(match)
+    if len(set(permutation)) != r_count:
+        return None
+    lambdas = []
+    for ref_i, other_i in zip(ref_cols, other_cols):
+        lams = []
+        for rc in range(r_count):
+            lam = fraction_column_ratio(ref_i[permutation[rc]], other_i[rc])
+            if lam is None:
+                return None
+            lams.append(lam)
+        lambdas.append(tuple(lams))
+    for rc in range(r_count):
+        if math.prod(lams[rc] for lams in lambdas) != 1:
+            return None
+    return PermScalingRelation(other, tuple(permutation), tuple(lambdas))
+
+
+NONZERO_RATIOS = (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)
+
+
+@st.composite
+def relation_instances(draw):
+    """A reference of order 3-4 and R <= 2 over small alphabets (zero and 1/2
+    allowed), and tuples of its shape: arbitrary ones, and the reference with
+    its columns permuted and scaled, by ratio tuples of product 1 or by any."""
+    order = draw(st.integers(3, 4))
+    r = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    symbols = st.sets(st.sampled_from(SMALL_SYMBOLS), min_size=2, max_size=3)
+    entries = [st.sampled_from(sorted(draw(symbols))) for _ in range(order)]
+
+    def matrix(i):
+        rows = tuple(tuple(draw(entries[i - 1]) for _ in range(r)) for _ in range(n))
+        return FactorMatrix(i, rows)
+
+    ref = FactorTuple(tuple(matrix(i) for i in range(1, order + 1)))
+    others = []
+    kinds = st.sampled_from(("product 1", "any scaling", "arbitrary"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "arbitrary":
+            others.append(FactorTuple(tuple(matrix(i) for i in range(1, order + 1))))
+            continue
+        perm = draw(st.permutations(range(r)))
+        scalings = []
+        for _ in range(r):
+            lams = [draw(st.sampled_from(NONZERO_RATIOS)) for _ in range(order - 1)]
+            if kind == "product 1":
+                lams.append(1 / math.prod(lams, start=Fraction(1)))
+            else:
+                lams.append(draw(st.sampled_from(NONZERO_RATIOS)))
+            scalings.append(lams)
+        mats = []
+        for i, x in enumerate(ref.matrices, 1):
+            rows = tuple(tuple(scalings[c][i - 1] * row[perm[c]] for c in range(r)) for row in x.rows)
+            mats.append(FactorMatrix(i, rows))
+        others.append(FactorTuple(mats))
+    return ref, others
+
+
+@given(relation_instances())
+@settings(max_examples=300, deadline=None)
+def test_perm_scaling_equals_the_fraction_check(instance):
+    ref, others = instance
+    relate = analysis._relation_to(ref)  # one lambda memo across the others
+    for other in others:
+        expected = fraction_perm_scaling(ref, other)
+        for rel in (find_perm_scaling(ref, other), relate(other)):
+            assert (rel is None) == (expected is None)
+            if rel is not None:
+                assert rel.permutation == expected.permutation
+                assert rel.lambdas == expected.lambdas
+                assert all(type(lam) is Fraction for lams in rel.lambdas for lam in lams)
 
 
 # --- verify-examples ------------------------------------------------------------------
