@@ -8,9 +8,10 @@ uniqueness certificate.  Those are recovered by peeling one mode: for a
 full-rank tuple the Khatri-Rao product of modes 1..N-1 has full column rank,
 so the mode-N unfolding of T has rank R and column space span(X_N).  Each
 alphabet candidate X_N in that span fixes the other modes through one linear
-solve, up to the column scalings of rank-one factors, which are enumerated.
-The recovered set equals the brute-force one (a differential test checks
-it), at a cost polynomial in n instead of |A|^(nRN).
+solve, up to the column scalings of rank-one factors, which are enumerated;
+a supersymmetric model keeps the tuples whose matrices are all equal.  The
+set equals the brute-force one (a differential test checks it), at a cost
+polynomial in n instead of |A|^(nRN).
 
 The relations between tuples and the uniqueness bound are checked in the
 scalars the factor matrices hold.  Column ratios are compared by
@@ -24,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from operator import mul
 
@@ -465,7 +466,8 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     alphabet-valued scaling.  Every combination of row factorizations whose
     matrices all have full rank is a tuple composing to T, and every
     full-rank tuple arises this way from its own X_N, so the set equals brute
-    force's full-rank set.
+    force's full-rank set.  A supersymmetric model's tuples replicate one
+    matrix, so its full-rank set is the members whose N matrices are equal.
     """
     r, n, order = m.components, m.dim, m.order
     u = unfold(t, order)
@@ -480,6 +482,7 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     factors: dict[tuple, list[tuple[tuple, ...]]] = {}  # row of K^T -> factorizations
     # (mode, columns) -> one FactorMatrix, held by every tuple that uses it
     shared: dict[tuple, FactorMatrix] = {}
+    has_full_rank = cache(lambda rows: rank_exact(rows) == r)  # each matrix ranked once a call
     result = []
     for cols in product(vectors, repeat=r):
         k_t = solve_exact([[y[p] for _, y in cols] for p in range(r)], u_p)
@@ -502,18 +505,15 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
             combos.append(tuple(mats))
         # The combinations differ only by nonzero column scalings, which keep
         # every matrix's rank: the first one decides for all.
-        if combos and all(rank_exact(x.rows) == r for x in combos[0]):
+        if combos and all(has_full_rank(x.rows) for x in combos[0]):
             x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))), alphabet_n)
             result.extend(FactorTuple(mats + (x_n,)) for mats in combos)
+    if m.supersymmetric:
+        result = [ft for ft in result if len({x.rows for x in ft.matrices}) == 1]
     return sorted(result, key=_tuple_sort_key)
 
 
-_BRUTE_SPACE_CAP = 1 << 20
-
-
-def uniqueness_census(
-    t: ExactTensor, m: ModelSpec, budget: int = DEFAULT_BUDGET
-) -> UniquenessCertificate:
+def uniqueness_census(t: ExactTensor, m: ModelSpec) -> UniquenessCertificate:
     """Certify that all full-rank factorizations of ``t`` are essentially equal.
 
     For order >= 3 every other full-rank tuple must relate to the reference by
@@ -521,28 +521,15 @@ def uniqueness_census(
     identity; for order 2 by an invertible W.  Any unrelated pair is reported
     as a violation (it would falsify the uniqueness bound at this instance).
 
-    The full-rank tuples come from the peel-one-mode search of
-    ``_full_rank_cogenerators``, whose cost does not grow with the tuple
-    space.  Supersymmetric models have no such search yet: they sweep every
-    matrix, refused above the fixed ``_BRUTE_SPACE_CAP``, and ``budget``
-    bounds that sweep only.
+    The full-rank tuples of every model, supersymmetric or not, come from the
+    peel-one-mode search of ``_full_rank_cogenerators``, whose cost does not
+    grow with the tuple space.
     """
     if m.order < 2:
         raise UnsupportedModelError("uniqueness census needs order >= 2")
     if t.order != m.order or t.dim != m.dim:
         raise CpdzipError("target tensor shape does not match the model")
-    if m.supersymmetric:
-        space = mode_space_size(m, 1)
-        if space > _BRUTE_SPACE_CAP:
-            # No budget lifts the cap.
-            raise UnsupportedModelError(
-                f"uniqueness census of a supersymmetric model searches all {space} tuples, "
-                f"above the fixed brute-force cap of {_BRUTE_SPACE_CAP} tuples"
-            )
-        census = count_factorizations(t, m, full_rank_only=True, budget=budget)
-        tuples = sorted(census.full_rank_tuples, key=_tuple_sort_key)
-    else:
-        tuples = _full_rank_cogenerators(t, m)
+    tuples = _full_rank_cogenerators(t, m)
     if not tuples:
         raise CpdzipError("no full-rank factorization of the target tensor exists")
 
@@ -566,6 +553,9 @@ def uniqueness_census(
 
 
 # --- the uniqueness bound -------------------------------------------------------
+
+# The order-2 bound tests every R x R alphabet matrix, refused above this count.
+_BRUTE_SPACE_CAP = 1 << 20
 
 
 def _symbol_ratios(alphabet: Alphabet) -> set[tuple[int, int]]:

@@ -514,10 +514,18 @@ def matrix_to_dict(x: FactorMatrix) -> dict:
 
 
 def matrix_from_dict(data: dict) -> FactorMatrix:
+    """Read a factor-matrix document.  ``rows`` and ``cols`` must be JSON
+    integers >= 1 that equal the shape of ``entries``."""
     _check_kind(data, "factor_matrix")
     mode = json_field(data, "mode", int)
+    n_rows, n_cols = json_field(data, "rows", int), json_field(data, "cols", int)
     rows = json_field(data, "entries", list)
     if not all(type(row) is list for row in rows):
         raise DocumentError("field 'entries' must be a list of rows")
+    if n_rows < 1 or n_cols < 1 or len(rows) != n_rows or any(len(r) != n_cols for r in rows):
+        raise DocumentError(
+            f"fields 'rows' and 'cols' must be at least 1 and give the shape of 'entries', "
+            f"got {n_rows} x {n_cols}"
+        )
     values = iter(parse_scalars([v for row in rows for v in row]))
     return FactorMatrix(mode, tuple(tuple(islice(values, len(row))) for row in rows))

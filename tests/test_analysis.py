@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -47,6 +46,7 @@ from cpdzip.tensors import (
     ShapeError,
     cpd_compose,
     rank_exact,
+    replicate,
     zero_tensor,
 )
 
@@ -284,7 +284,7 @@ def order3_instances(draw):
     symbols = st.sets(st.sampled_from(SMALL_SYMBOLS), min_size=2, max_size=3)
     alphabets = tuple(Alphabet(tuple(sorted(draw(symbols)))) for _ in range(3))
     m = ModelSpec(3, n, r, alphabets, tuple((uniform(a.size),) * r for a in alphabets))
-    # under the 2^20 brute-force cap, and small enough to keep the test fast
+    # small enough to keep the brute-force reference of other tests fast
     assume(math.prod(a.size ** (n * r) for a in alphabets) <= 1 << 18)
     element = [st.sampled_from(a.symbols) for a in alphabets]
     mats = tuple(
@@ -452,18 +452,28 @@ def test_pruned_census_finds_non_integral_column_ratios():
 @st.composite
 def cogenerator_instances(draw):
     """A model of order 2-4 over small alphabets (zero and 1/2 allowed) with at
-    most 2^16 tuples, and the tensor of any tuple, of full rank or not."""
+    most 2^16 tuples, and the tensor of any tuple, of full rank or not.  A
+    supersymmetric model has one alphabet for every mode, and its tensor is
+    that of a replicated matrix or of any tuple."""
     order = draw(st.integers(2, 4))
     r = draw(st.integers(1, 2))
+    supersymmetric = draw(st.booleans())
     symbols = st.sets(st.sampled_from(SMALL_SYMBOLS), min_size=2, max_size=3)
-    alphabets = tuple(Alphabet(tuple(sorted(draw(symbols)))) for _ in range(order))
-    per_row = math.prod(a.size for a in alphabets) ** r  # the space is per_row^n
+    if supersymmetric:
+        alphabets = (Alphabet(tuple(sorted(draw(symbols)))),) * order
+        per_row = alphabets[0].size ** r  # one matrix is swept
+    else:
+        alphabets = tuple(Alphabet(tuple(sorted(draw(symbols)))) for _ in range(order))
+        per_row = math.prod(a.size for a in alphabets) ** r  # the space is per_row^n
     n = draw(st.integers(1, max(k for k in range(1, 5) if per_row**k <= 1 << 16)))
-    m = ModelSpec(order, n, r, alphabets, tuple((uniform(a.size),) * r for a in alphabets))
+    dists = tuple((uniform(a.size),) * r for a in alphabets)
+    m = ModelSpec(order, n, r, alphabets, dists, supersymmetric=supersymmetric)
     mats = []
     for i, a in enumerate(alphabets, 1):
         entry = st.sampled_from(a.symbols)
         mats.append(FactorMatrix(i, tuple(tuple(draw(entry) for _ in range(r)) for _ in range(n))))
+    if supersymmetric and draw(st.booleans()):
+        mats = replicate(mats[0], order)
     return m, cpd_compose(FactorTuple(mats))
 
 
@@ -476,6 +486,10 @@ EYE = ((1, 0), (0, 1))
     ModelSpec(2, 2, 2, (ZERO_ONE,) * 2, ((uniform(2),) * 2,) * 2),
     cpd_compose(FactorTuple((FactorMatrix(1, EYE), FactorMatrix(2, EYE)))),
 ))
+@example((  # a full-rank X: its supersymmetric set is X up to column order
+    cubic_sign_model(3, U2, U2),
+    cpd_compose(FactorTuple(replicate(FactorMatrix(1, ((1, 1), (1, -1), (-1, 1))), 3))),
+))
 @settings(max_examples=200, deadline=None)
 def test_peeled_search_equals_the_brute_force_full_rank_set(instance):
     m, t = instance
@@ -483,21 +497,42 @@ def test_peeled_search_equals_the_brute_force_full_rank_set(instance):
     assert _full_rank_cogenerators(t, m) == sorted(brute.full_rank_tuples, key=_tuple_sort_key)
 
 
-def test_census_cost_is_polynomial_in_n(monkeypatch):
-    # Testing each of the |A|^n alphabet vectors for span membership would
-    # make 2^16 rank calls here; the peeled search makes a few dozen.
-    calls = Counter()
-    for name in ("pivot_rows", "rank_exact", "solve_exact"):
+def count_calls(monkeypatch, *names) -> list:
+    """Record the arguments of each call to the named ``analysis`` functions."""
+    calls = []
+    for name in names:
         def counted(*args, _fn=getattr(analysis, name), _name=name):
-            calls[_name] += 1
+            calls.append((_name, args))
             return _fn(*args)
 
         monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+def test_census_cost_is_polynomial_in_n(monkeypatch):
+    # Testing each of the |A|^n alphabet vectors for span membership would
+    # make 2^16 rank calls here; the peeled search makes a few dozen.  A
+    # supersymmetric model takes the same search: its full-rank X has only
+    # the column swap, as no sign but 1 has cube 1.
+    calls = count_calls(monkeypatch, "pivot_rows", "rank_exact", "solve_exact")
     n = 16
-    m = generic_sign_model(n)
-    cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
-    assert cert.certified and cert.full_rank_count == cert.bound == 32
-    assert 0 < sum(calls.values()) <= 64 * n
+    for m, count in ((generic_sign_model(n), 32), (cubic_sign_model(n, U2, U2), 2)):
+        calls.clear()
+        cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
+        assert cert.certified and (cert.full_rank_count, cert.bound) == (count, 32)
+        assert 0 < len(calls) <= 64 * n
+
+
+def test_census_ranks_each_recovered_matrix_once(monkeypatch):
+    # Candidates share their leading matrices; each is ranked once per census.
+    calls = count_calls(monkeypatch, "rank_exact")
+    m = generic_sign_model(4)
+    for trial in range(4):
+        calls.clear()
+        cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, trial)), m)
+        assert cert.certified
+        ranked = [args[0] for _, args in calls]
+        assert len(ranked) == len(set(ranked)) > 0
 
 
 def test_census_builds_one_fraction_per_distinct_lambda(monkeypatch):
@@ -763,19 +798,3 @@ def test_verify_examples_fast_all_pass():
     assert all(isinstance(r, CheckRow) for r in rows)
     failures = [r for r in rows if not r.ok]
     assert failures == []
-
-
-def test_uniqueness_census_supersymmetric_over_the_fixed_cap_suggests_no_budget():
-    m = cubic_sign_model(11, U2, U2)  # 2^22 tuples, above the 2^20 brute-force cap
-    with pytest.raises(UnsupportedModelError) as info:
-        uniqueness_census(zero_tensor(3, 11), m, budget=2**30)
-    assert not isinstance(info.value, BudgetExceededError)
-    assert str(1 << 20) in str(info.value)
-    assert "budget" not in str(info.value)
-
-
-def test_uniqueness_census_supersymmetric_under_the_cap_names_the_budget():
-    m = cubic_sign_model(3, U2, U2)  # 64 tuples
-    with pytest.raises(BudgetExceededError) as info:
-        uniqueness_census(zero_tensor(3, 3), m, budget=32)
-    assert info.value.required == 64

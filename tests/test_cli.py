@@ -152,6 +152,15 @@ def test_krank(tmp_path, capsys):
     assert payload == {"rank": 2, "kruskal_rank": 2}
 
 
+def test_krank_refuses_a_matrix_whose_shape_fields_disagree(tmp_path, capsys):
+    doc = dict(matrix_to_dict(FactorMatrix(1, ((1, 0), (0, 1)))), rows=5, cols=9)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(doc))
+    assert main(["krank", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'rows' and 'cols'" in captured.err
+
+
 def test_verify_examples_fast(capsys):
     assert main(["verify-examples", "--fast"]) == 0
     out = capsys.readouterr().out

@@ -634,7 +634,7 @@ def test_tensor_from_dict_refuses_mistyped_fields(name, value):
         tensor_from_dict(doc)
 
 
-@pytest.mark.parametrize("name", ["mode", "entries"])
+@pytest.mark.parametrize("name", ["mode", "rows", "cols", "entries"])
 def test_matrix_from_dict_requires_every_field(name):
     doc = matrix_to_dict(FactorMatrix(1, ((1, 0), (0, 1))))
     del doc[name]
@@ -643,7 +643,22 @@ def test_matrix_from_dict_requires_every_field(name):
 
 
 @pytest.mark.parametrize(
-    "name, value", [("mode", "1"), ("mode", 1.0), ("entries", ["10", "01"])]
+    "name, value",
+    [
+        ("mode", "1"),
+        ("mode", 1.0),
+        ("entries", ["10", "01"]),
+        ("rows", "2"),
+        ("rows", 2.0),
+        ("rows", True),
+        ("rows", 0),
+        ("cols", None),
+        ("cols", 2.5),
+        ("cols", -2),
+        ("rows", 5),  # one reading per document: a 2 x 2 matrix is not 5 x 2
+        ("cols", 1),
+        ("entries", [["1/1", "0/1"], ["1/1"]]),
+    ],
 )
 def test_matrix_from_dict_refuses_mistyped_fields(name, value):
     doc = dict(matrix_to_dict(FactorMatrix(1, ((1, 0), (0, 1)))), **{name: value})
