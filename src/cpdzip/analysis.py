@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import compress, product
 from operator import mul
 
 from .model import (
@@ -44,13 +44,13 @@ from .tensors import (
     FactorMatrix,
     FactorTuple,
     ShapeError,
+    intern_tensors,
     mat_mul,
     outer_product,
     pivot_rows,
     rank_exact,
     replicate,
     solve_exact,
-    sweep_keys,
     transpose,
     unfold,
     zero_tensor,
@@ -136,7 +136,8 @@ def count_factorizations(
     if t.order != m.order or t.dim != m.dim:
         raise CpdzipError("target tensor shape does not match the model")
     spaces = mode_spaces(m, budget, "factorization census")
-    target = t.key()
+    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
+    target = key_to_id.get(t.key())
 
     total = 0
     full_rank = 0
@@ -144,9 +145,7 @@ def count_factorizations(
     full_rank_tuples: list[FactorTuple] = []
     r = m.components
 
-    for mats, key in zip(product(*spaces), sweep_keys(spaces, m.order)):
-        if key != target:
-            continue
+    for mats in compress(product(*spaces), (tid == target for tid in tuple_ids)):
         total += 1
         ft = FactorTuple(replicate(mats[0], m.order) if m.supersymmetric else mats)
         is_full = all(rank_exact(x.rows) == r for x in ft.matrices)
@@ -467,7 +466,9 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     matrices all have full rank is a tuple composing to T, and every
     full-rank tuple arises this way from its own X_N, so the set equals brute
     force's full-rank set.  A supersymmetric model's tuples replicate one
-    matrix, so its full-rank set is the members whose N matrices are equal.
+    matrix, so its full-rank set is the members whose N matrices are equal:
+    the candidates X_N whose K^T has the rows x_r^(N-1), each kept as X_N
+    replicated, with no row factored.  X_N has rank R, as Y is invertible.
     """
     r, n, order = m.components, m.dim, m.order
     u = unfold(t, order)
@@ -487,6 +488,15 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     for cols in product(vectors, repeat=r):
         k_t = solve_exact([[y[p] for _, y in cols] for p in range(r)], u_p)
         if k_t is None:
+            continue
+        if m.supersymmetric:
+            # every mode holds X_N, so row r of K^T must be x_r^(N-1)
+            if all(
+                tuple(row) == outer_product([v] * (order - 1)).entries
+                for row, (v, _) in zip(k_t, cols)
+            ):
+                x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))), alphabet_n)
+                result.append(FactorTuple(replicate(x_n, order)))
             continue
         per_row = []
         for row in map(tuple, k_t):
@@ -508,8 +518,6 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
         if combos and all(has_full_rank(x.rows) for x in combos[0]):
             x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))), alphabet_n)
             result.extend(FactorTuple(mats + (x_n,)) for mats in combos)
-    if m.supersymmetric:
-        result = [ft for ft in result if len({x.rows for x in ft.matrices}) == 1]
     return sorted(result, key=_tuple_sort_key)
 
 
@@ -662,10 +670,10 @@ def prob_zero_tensor(m: ModelSpec) -> Fraction:
 def brute_force_zero_prob(m: ModelSpec, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Oracle: sum of model probabilities of all tuples composing to zero."""
     spaces = mode_spaces(m, budget, "zero-tensor sweep")
-    zero = zero_tensor(m.order, m.dim).key()
+    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
+    zero = key_to_id.get(zero_tensor(m.order, m.dim).key())
     weights, denominator = tuple_weights(m, spaces)
-    sweep = zip(sweep_keys(spaces, m.order), weights)
-    return Fraction(sum(w for key, w in sweep if key == zero), denominator)
+    return Fraction(sum(w for tid, w in zip(tuple_ids, weights) if tid == zero), denominator)
 
 
 # --- full-rank probability bounds -------------------------------------------------
@@ -748,7 +756,7 @@ def bilinear_census_summary(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, i
     """
     m = bilinear_sign_model(n, uniform(2), uniform(2), uniform(2), uniform(2))
     spaces = mode_spaces(m, budget, "order-2 full census")
-    groups = Counter(sweep_keys(spaces, 2))
+    groups = Counter(intern_tensors(spaces, 2)[0])
     return dict(Counter(groups.values()))
 
 
@@ -770,9 +778,9 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
     gives 2^n, a mixed pattern gives 2, no zero sums gives 1."""
     u2 = uniform(2)
     spaces = mode_spaces(cubic_sign_model(n, u2, u2), budget, "order-3 full census")
-    groups: dict[bytes, list[FactorMatrix]] = {}
-    for x, key in zip(spaces[0], sweep_keys(spaces, 3)):
-        groups.setdefault(key, []).append(x)
+    groups: dict[int, list[FactorMatrix]] = {}
+    for x, tid in zip(spaces[0], intern_tensors(spaces, 3)[0]):
+        groups.setdefault(tid, []).append(x)
     rows = []
     all_ok = True
     for generators in groups.values():

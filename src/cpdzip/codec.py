@@ -41,8 +41,8 @@ from .tensors import (
     ShapeError,
     compose_entries,
     cpd_compose,
+    intern_tensors,
     replicate,
-    sweep_keys,
     zero_tensor,
 )
 from .typicality import (
@@ -147,8 +147,8 @@ class Codebook(DecodeBook):
 # --- shared space tables --------------------------------------------------------
 #
 # Exhaustive sweeps (codebook construction, exact error probability) read a
-# table mapping every tuple of the full space to a compact tensor id, built
-# from the keys of ``sweep_keys``.  The table depends only on the model's
+# table mapping every tuple of the full space to a compact tensor id, as
+# ``intern_tensors`` numbers them.  The table depends only on the model's
 # structure (N, n, R, supersymmetric, alphabets), so uniform and skewed
 # variants of one alphabet share it.  Two bounded memos hold the last four
 # tables and the last four models' tensor probabilities (int numerators over
@@ -175,11 +175,7 @@ def _space_index(m: ModelSpec, budget: int) -> _SpaceIndex:
 def _structure_table(structure: ModelSpec) -> _SpaceIndex:
     modes = range(1, structure.independent_matrices + 1)
     spaces = [list(iter_mode_matrices(structure, i)) for i in modes]
-    key_to_id: dict[bytes, int] = {}
-    tuple_ids = [
-        key_to_id.setdefault(key, len(key_to_id))
-        for key in sweep_keys(spaces, structure.order)
-    ]
+    tuple_ids, key_to_id = intern_tensors(spaces, structure.order)
     return _SpaceIndex(spaces, tuple_ids, list(key_to_id), key_to_id)
 
 
@@ -255,9 +251,12 @@ def build_codebook(
         for tid, code_index in _typical_id_map(space, enums).items():
             tensor_to_index[space.id_keys[tid]] = code_index
     elif tuple_count:
-        keys = sweep_keys([e.matrices for e in enums], m.order)
-        for code_index, key in enumerate(keys):
-            tensor_to_index.setdefault(key, code_index)
+        tuple_ids, key_to_id = intern_tensors([e.matrices for e in enums], m.order)
+        first = []  # ids count up in first-occurrence order: id k first occurs at first[k]
+        for code_index, tid in enumerate(tuple_ids):
+            if tid == len(first):
+                first.append(code_index)
+        tensor_to_index = dict(zip(key_to_id, first))
     return Codebook(**vars(book), tensor_to_index=tensor_to_index)
 
 

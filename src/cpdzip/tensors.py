@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import DocumentError, json_field
 from .model import Alphabet, CpdzipError
@@ -195,39 +195,33 @@ def cpd_compose(t: FactorTuple | Sequence[FactorMatrix]) -> ExactTensor:
     return ExactTensor(len(mats), mats[0].n, tuple(compose_entries(mats)))
 
 
-def _khatri_rao_rows(leading, rows: list[tuple]) -> Iterator[list[tuple]]:
-    """Row-major Khatri-Rao rows (one R-tuple each) of every tuple of the
-    leading modes, in product order; ``rows`` is the product so far."""
-    if not leading:
-        yield rows
-        return
-    for x in leading[0]:
-        yield from _khatri_rao_rows(
-            leading[1:], [tuple(map(mul, v, row)) for v in rows for row in x.rows]
-        )
-
-
-def sweep_keys(
+def intern_tensors(
     mode_matrices: Sequence[Sequence[FactorMatrix]], order: int
-) -> Iterator[bytes]:
-    """``pack_scalars`` key of the composed tensor of every factor tuple of a
-    tuple space.
+) -> tuple[list[int], dict[bytes, int]]:
+    """The tensor id of every factor tuple of a tuple space, and the key of
+    each id.
 
     ``mode_matrices`` holds one list of matrices per mode; tuples come in
     ``itertools.product(*mode_matrices)`` order, mode 1 most significant.  A
     single list is used in all ``order`` modes (the supersymmetric case).
-    Each key equals ``pack_scalars(compose_entries(tuple))`` byte for byte.
+    Returns ``(tuple_ids, key_to_id)``: equal ids mean equal tensors, ids are
+    numbered in order of first occurrence, and each key equals
+    ``pack_scalars(compose_entries(tuple))`` byte for byte.
 
-    In row-major order the composed entries are n-entry blocks, one per flat
-    index of the leading modes: with v that index's Khatri-Rao row, the block
-    is sum_r v_r * col_r(X_last).  It depends only on (v, X_last), so its
-    packed bytes are memoized per last-mode matrix, and a key is the join of
-    the blocks of its prefix rows (``pack_scalars`` concatenates per-scalar
-    fragments; an integral Fraction packs like the equal int).  The memo holds
-    at most |last mode| x (distinct Khatri-Rao rows) blocks.  Supersymmetric
-    tuples share no prefix, so each is expanded directly and packed.
+    The tensor splits on its first index into n slabs, and a slab splits on
+    its next index the same way down to the last mode.  With w an R-vector
+    (the product of the rows already fixed), the slab
+    P(w; k) = sum_r w_r X_k[:, r] (x) ... (x) X_N[:, r] is the n-tuple of the
+    slabs P(w * X_k[i, :]; k+1), and P(w; N) is an n-entry block.  Each
+    level's slabs are interned (``_slab_bytes``), so bytes are packed once
+    per distinct block and joined once per distinct slab, and a tuple's key
+    joins just its n top-level slabs.  Supersymmetric tuples share no prefix,
+    so each is expanded directly and packed.
     """
-    if len(mode_matrices) == 1 and order > 1:
+    tuple_ids: list[int] = []
+    key_to_id: dict[bytes, int] = {}
+    intern = key_to_id.setdefault
+    if len(mode_matrices) == 1:
         for x in mode_matrices[0]:
             acc = None
             for col in x.columns():
@@ -235,25 +229,62 @@ def sweep_keys(
                 for _ in range(order - 1):
                     term = [a * b for a in term for b in col]
                 acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-            yield pack_scalars(acc)
-        return
-    *leading, last = mode_matrices
-    if not last:
-        return
-    blocks: list[dict[tuple, bytes]] = [{} for _ in last]
-    getters = [b.__getitem__ for b in blocks]
-    for rows in _khatri_rao_rows(leading, [(1,) * last[0].r]):
-        for v in set(rows).difference(blocks[0]):
-            for x, block in zip(last, blocks):
-                block[v] = pack_scalars([sum(map(mul, v, row)) for row in x.rows])
-        for get in getters:
-            yield b"".join(map(get, rows))
+            tuple_ids.append(intern(pack_scalars(acc), len(key_to_id)))
+        return tuple_ids, key_to_id
+    if not all(mode_matrices):
+        return tuple_ids, key_to_id
+    first, *rest = mode_matrices
+    slabs = _slab_bytes(rest)
+    for x in first:  # the top level is interned on its keys, which the table keeps
+        keys = map(b"".join, zip(*map(slabs, x.rows)))
+        tuple_ids += [intern(key, len(key_to_id)) for key in keys]
+    return tuple_ids, key_to_id
+
+
+def _slab_bytes(
+    modes: Sequence[Sequence[FactorMatrix]],
+) -> Callable[[tuple], list[bytes]]:
+    """A function of an R-vector w giving the packed bytes of P(w; k) for
+    every tuple of ``modes`` (X_k, ..., X_N), in product order, memoized per w.
+
+    Slabs are interned: equal slabs share one bytes object, found by the
+    scalars of a block or by the n bytes objects of a slab's children.
+    """
+    here, *below = modes
+    memo: dict[tuple, list[bytes]] = {}
+    interned: dict[tuple, bytes] = {}
+    if below:
+        children = _slab_bytes(below)
+        join = b"".join
+
+        def parts_of(w):  # the n child slabs of each matrix of this mode
+            return chain.from_iterable(
+                zip(*[children(tuple(map(mul, w, row))) for row in x.rows]) for x in here
+            )
+    else:
+        join = pack_scalars
+
+        def parts_of(w):  # the block of each last-mode matrix
+            return (tuple(sum(map(mul, w, row)) for row in x.rows) for x in here)
+
+    def slabs(w: tuple) -> list[bytes]:
+        out = memo.get(w)
+        if out is None:
+            out = memo[w] = []
+            for parts in parts_of(w):
+                packed = interned.get(parts)
+                if packed is None:
+                    packed = interned[parts] = join(parts)
+                out.append(packed)
+        return out
+
+    return slabs
 
 
 def composes_to(matrices: Sequence[FactorMatrix], target: ExactTensor) -> bool:
     """Entrywise comparison with early exit; cheaper than composing fully.
 
-    The sweeps read ``sweep_keys``; this stays as the independent oracle
+    The sweeps read ``intern_tensors``; this stays as the independent oracle
     that the tests check the engine against.
     """
     n = matrices[0].n

@@ -244,7 +244,7 @@ def check_space_budget(m: ModelSpec, budget: int, what: str) -> None:
 
 def mode_spaces(m: ModelSpec, budget: int, what: str) -> list[list[FactorMatrix]]:
     """Every matrix of each independent mode, canonical order, for a sweep of
-    the full tuple space (see ``tensors.sweep_keys``), after
+    the full tuple space (see ``tensors.intern_tensors``), after
     ``check_space_budget``."""
     check_space_budget(m, budget, what)
     return [list(iter_mode_matrices(m, i)) for i in range(1, m.independent_matrices + 1)]
@@ -254,7 +254,8 @@ def tuple_weights(
     m: ModelSpec, mode_matrices: list[list[FactorMatrix]]
 ) -> tuple[Iterator[int], int]:
     """Exact model probability of every tuple as an int numerator over one
-    common denominator D, in the order of ``sweep_keys(mode_matrices, m.order)``.
+    common denominator D, in the order of the ids of
+    ``intern_tensors(mode_matrices, m.order)``.
 
     D is the product over modes of the lcm of that mode's matrix-probability
     denominators, so a tuple's numerator is the product of its matrices'

@@ -535,6 +535,18 @@ def test_census_ranks_each_recovered_matrix_once(monkeypatch):
         assert len(ranked) == len(set(ranked)) > 0
 
 
+def test_supersymmetric_census_factors_no_row(monkeypatch):
+    # Every mode of a supersymmetric tuple holds X_N, so each row of K^T is
+    # compared with x_r^(N-1) instead of being factored into other tuples.
+    calls = count_calls(monkeypatch, "_rank_one_factors")
+    for alphabet in (Alphabet((-1, 1)), Alphabet((-2, -1, 1, 2))):
+        row = (uniform(alphabet.size),) * 2
+        m = ModelSpec(3, 8, 2, (alphabet,) * 3, (row,) * 3, supersymmetric=True)
+        cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
+        assert cert.certified and cert.full_rank_count == 2
+    assert calls == []
+
+
 def test_census_builds_one_fraction_per_distinct_lambda(monkeypatch):
     # The relation checks run on the scalars the columns hold; a Fraction is
     # built only for a reported lambda, once per value.

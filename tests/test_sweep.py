@@ -1,17 +1,21 @@
 """Differential tests of the exact sweep engine against per-tuple composition.
 
-``sweep_keys`` and ``tuple_weights`` must agree, tuple by tuple and in product
-order, with ``pack_scalars(compose_entries(...))``, ``composes_to`` and
-products of ``matrix_probability``; ``measure_scheme``'s error probability
-must equal a plain ``Fraction`` sum over the full tuple space.
+``intern_tensors`` and ``tuple_weights`` must agree, tuple by tuple and in
+product order, with ``pack_scalars(compose_entries(...))``, ``composes_to``
+and products of ``matrix_probability``; ``measure_scheme``'s error
+probability must equal a plain ``Fraction`` sum over the full tuple space.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpdzip import codec, tensors
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
 from cpdzip.codec import build_decode_book, measure_scheme
 from cpdzip.model import Alphabet, BudgetExceededError, Distribution, ModelSpec, uniform
@@ -22,7 +26,7 @@ from cpdzip.tensors import (
     compose_entries,
     composes_to,
     cpd_compose,
-    sweep_keys,
+    intern_tensors,
     zero_tensor,
 )
 from cpdzip.typicality import (
@@ -62,11 +66,18 @@ def replicated_tuples(m, spaces):
         yield mats
 
 
+def tuple_keys(m, spaces):
+    """The ``intern_tensors`` key of every tuple, in product order."""
+    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
+    id_keys = list(key_to_id)
+    return [id_keys[tid] for tid in tuple_ids]
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_sweep_matches_per_tuple_composition(name):
     m = MODELS[name]
     spaces = mode_spaces(m, 1 << 20, "test sweep")
-    keys = list(sweep_keys(spaces, m.order))
+    keys = tuple_keys(m, spaces)
     tuples = list(replicated_tuples(m, spaces))
     space = math.prod(mode_space_size(m, i) for i in range(1, m.independent_matrices + 1))
     assert len(keys) == len(tuples) == space
@@ -88,7 +99,7 @@ def test_fractional_sweep_meets_integral_fractions():
     # ``cpd_compose``.
     m = MODELS["fractional order 3 R=2"]
     spaces = mode_spaces(m, 1 << 20, "test sweep")
-    keys = set(sweep_keys(spaces, m.order))
+    keys = set(tuple_keys(m, spaces))
     half = Fraction(1, 2)
     rows = (((half, 2), (2, 2)), ((2, half), (2, 2)), ((2, 2), (2, half)))
     composed = cpd_compose([FactorMatrix(i, x) for i, x in enumerate(rows, 1)])
@@ -96,11 +107,72 @@ def test_fractional_sweep_meets_integral_fractions():
     assert composed.key() in keys
 
 
-def test_sweep_keys_of_an_empty_last_mode():
+def test_sweep_of_an_empty_first_or_last_mode():
     m = MODELS["rank-one order 3"]
     spaces = mode_spaces(m, 1 << 20, "test sweep")
-    assert list(sweep_keys(spaces[:-1] + [[]], m.order)) == []
-    assert list(sweep_keys([[]] + spaces[1:], m.order)) == []
+    assert intern_tensors(spaces[:-1] + [[]], m.order) == ([], {})
+    assert intern_tensors([[]] + spaces[1:], m.order) == ([], {})
+
+
+SWEEP_SYMBOLS = (-2, -1, 0, Fraction(1, 2), 1, 2)
+
+
+@st.composite
+def sweep_instances(draw):
+    """A model of order 2-4 and R <= 2 over small alphabets (zero and 1/2
+    allowed), supersymmetric or not, with at most 2^16 tuples."""
+    order = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 2))
+    supersymmetric = draw(st.booleans())
+    symbols = st.sets(st.sampled_from(SWEEP_SYMBOLS), min_size=2, max_size=3)
+    if supersymmetric:
+        alphabets = (Alphabet(tuple(sorted(draw(symbols)))),) * order
+        per_row = alphabets[0].size ** r  # one matrix is swept
+    else:
+        alphabets = tuple(Alphabet(tuple(sorted(draw(symbols)))) for _ in range(order))
+        per_row = math.prod(a.size for a in alphabets) ** r  # the space is per_row^n
+    n = draw(st.integers(1, max(k for k in range(1, 5) if per_row**k <= 1 << 16)))
+    dists = tuple((uniform(a.size),) * r for a in alphabets)
+    return ModelSpec(order, n, r, alphabets, dists, supersymmetric=supersymmetric)
+
+
+@given(sweep_instances())
+@settings(max_examples=60, deadline=None)
+def test_tensor_ids_equal_the_partition_of_packed_compositions(m):
+    spaces = mode_spaces(m, 1 << 16, "test sweep")
+    packed = [pack_scalars(compose_entries(mats)) for mats in replicated_tuples(m, spaces)]
+    first: dict[bytes, int] = {}  # packed composition -> id, in first-occurrence order
+    for key in packed:
+        first.setdefault(key, len(first))
+    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
+    # equal ids exactly when the packed compositions are equal, numbered in
+    # first-occurrence order
+    assert tuple_ids == [first[key] for key in packed]
+    # each id's key is the packed composition of its first tuple
+    assert list(key_to_id.items()) == list(first.items())
+
+
+def test_cold_table_packs_each_distinct_last_mode_block_once(monkeypatch):
+    # Bytes are packed per distinct block, not per tuple or per (prefix row,
+    # last-mode matrix) pair; slabs and keys are joins of packed bytes.
+    packed = []
+
+    def counted(values, _pack=pack_scalars):
+        packed.append(values)
+        return _pack(values)
+
+    monkeypatch.setattr(tensors, "pack_scalars", counted)
+    m = rank_one_sign_model(5, 3, [U2] * 3)  # the codec's rank-one sign model
+    table = codec._space_index(m, 1 << 15)
+    spaces = table.spaces
+    prefix_rows = {
+        tuple(map(mul, u, v)) for x in spaces[0] for u in x.rows for y in spaces[1] for v in y.rows
+    }
+    blocks = {
+        tuple(sum(map(mul, w, row)) for row in x.rows) for w in prefix_rows for x in spaces[2]
+    }
+    assert (len(table.tuple_ids), len(table.id_keys), len(blocks)) == (32768, 8192, 32)
+    assert 0 < len(packed) <= len(blocks)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
