@@ -44,6 +44,7 @@ from .tensors import (
     FactorMatrix,
     FactorTuple,
     ShapeError,
+    expand_modes,
     intern_tensors,
     mat_mul,
     outer_product,
@@ -107,6 +108,8 @@ def rank_one_sign_model(n: int, order: int, dists) -> ModelSpec:
 
 # --- factorization census ------------------------------------------------------
 
+MAX_REPRESENTATIVES = 64
+
 
 @dataclass(frozen=True)
 class FactorizationCensus:
@@ -125,13 +128,12 @@ def count_factorizations(
     m: ModelSpec,
     full_rank_only: bool = False,
     budget: int = DEFAULT_BUDGET,
-    max_representatives: int = 64,
 ) -> FactorizationCensus:
     """Count every alphabet-valued factor tuple that composes to ``t``.
 
     Supersymmetric models enumerate a single matrix and replicate it.  The
     full-rank subset is always counted; ``full_rank_only`` restricts the
-    retained representatives to it.
+    retained representatives, at most ``MAX_REPRESENTATIVES`` of them, to it.
     """
     if t.order != m.order or t.dim != m.dim:
         raise CpdzipError("target tensor shape does not match the model")
@@ -147,12 +149,12 @@ def count_factorizations(
 
     for mats in compress(product(*spaces), (tid == target for tid in tuple_ids)):
         total += 1
-        ft = FactorTuple(replicate(mats[0], m.order) if m.supersymmetric else mats)
+        ft = FactorTuple(expand_modes(m, mats))
         is_full = all(rank_exact(x.rows) == r for x in ft.matrices)
         if is_full:
             full_rank += 1
             full_rank_tuples.append(ft)
-        if (is_full or not full_rank_only) and len(reps) < max_representatives:
+        if (is_full or not full_rank_only) and len(reps) < MAX_REPRESENTATIVES:
             reps.append(ft)
 
     classes = _equivalence_classes(full_rank_tuples)

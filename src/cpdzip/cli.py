@@ -191,9 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="model JSON file")
+    def common(p):
+        p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", help="output path (default: stdout for JSON)")
         p.add_argument(
             "--budget",

@@ -41,8 +41,8 @@ from .tensors import (
     ShapeError,
     compose_entries,
     cpd_compose,
+    expand_modes,
     intern_tensors,
-    replicate,
     zero_tensor,
 )
 from .typicality import (
@@ -114,7 +114,7 @@ class DecodeBook:
 
     def tuple_at(self, index: int) -> FactorTuple:
         """Typical tuple at a lexicographic index (mode 1 most significant)."""
-        return _factor_tuple(self.model, self._matrices_at(index))
+        return FactorTuple(expand_modes(self.model, self._matrices_at(index)))
 
     def _matrices_at(self, index: int) -> list[FactorMatrix]:
         """The typical matrix of each independent mode at a lexicographic index."""
@@ -127,11 +127,6 @@ class DecodeBook:
             mats.append(enum.matrices[pos])
         mats.reverse()
         return mats
-
-
-def _factor_tuple(m: ModelSpec, mats: list[FactorMatrix]) -> FactorTuple:
-    """The tuple of one matrix per independent mode of ``m``."""
-    return FactorTuple(replicate(mats[0], m.order) if m.supersymmetric else mats)
 
 
 @dataclass(frozen=True)
@@ -220,19 +215,23 @@ def _typical_id_map(
     return id_map
 
 
+def _check_shape(m: ModelSpec, p: TypicalityParams) -> None:
+    if p.n != m.dim:
+        raise ShapeError(f"params n={p.n} but model dim={m.dim}")
+
+
 def build_decode_book(
     m: ModelSpec, p: TypicalityParams, budget: int = DEFAULT_BUDGET
 ) -> DecodeBook:
     """Deterministically build what decoding reads, without a tuple-space sweep."""
-    if p.n != m.dim:
-        raise ShapeError(f"params n={p.n} but model dim={m.dim}")
+    _check_shape(m, p)
     modes = m.independent_matrices
     enums = tuple(enumerate_typical(m, p, i, budget) for i in range(1, modes + 1))
     tuple_count = math.prod(e.count for e in enums)
     if tuple_count > budget:
         raise BudgetExceededError(tuple_count, budget, "codebook tuple space")
     if tuple_count:
-        fallback = cpd_compose(_factor_tuple(m, [e.matrices[0] for e in enums]))
+        fallback = cpd_compose(FactorTuple(expand_modes(m, [e.matrices[0] for e in enums])))
     else:
         fallback = zero_tensor(m.order, m.dim)
     return DecodeBook(m, p, enums, tuple_count, fallback, model_hash(m))
@@ -308,9 +307,7 @@ def decode(c: Codeword, cb: DecodeBook) -> ExactTensor:
     if c.index >= cb.tuple_count:
         raise DecodeError(f"index {c.index} out of range for |M| = {cb.size}")
     # enumerated matrices share n and R by construction: no FactorTuple check
-    mats = cb._matrices_at(c.index)
-    if m.supersymmetric:
-        mats = replicate(mats[0], m.order)
+    mats = expand_modes(m, cb._matrices_at(c.index))
     return ExactTensor(m.order, m.dim, tuple(compose_entries(mats)))
 
 
@@ -408,18 +405,18 @@ def measure_scheme(
     full space whose composed tensor is not decoded back to itself, so the
     full space must fit the budget.
     """
+    _check_shape(m, p)
     space = _space_index(m, budget)
     numerators, denominator = _tensor_probabilities(m)
     book = build_decode_book(m, p, budget)
     enums, tuple_count = book.enums, book.tuple_count
     id_map = _typical_id_map(space, enums)
 
+    # a tensor decodes to itself if the codebook indexes it or it is the fallback
     decodable = sum(numerators[tid] for tid in id_map)
-    if not id_map:
-        # empty codebook: only the zero fallback tensor decodes correctly
-        zero_id = space.key_to_id.get(zero_tensor(m.order, m.dim).key())
-        if zero_id is not None:
-            decodable += numerators[zero_id]
+    fallback_id = space.key_to_id.get(book.fallback_tensor.key())
+    if fallback_id is not None and fallback_id not in id_map:
+        decodable += numerators[fallback_id]
     error = 1 - Fraction(decodable, denominator)
 
     masses = tuple(typicality_mass(m, p, e.mode, budget) for e in enums)

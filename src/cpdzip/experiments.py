@@ -10,11 +10,13 @@ break reproducibility (see the repo docs).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import statistics
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +30,7 @@ from .analysis import (
     prob_zero_tensor,
     UnsupportedModelError,
 )
-from .codec import length_bound_nats, measure_scheme
+from .codec import build_decode_book, length_bound_nats, measure_scheme
 from .errors import DocumentError, json_field, read_json, refuse_unknown_fields
 from .model import (
     BudgetExceededError,
@@ -41,9 +43,7 @@ from .model import (
 from .rational import rational_str, to_fraction
 from .rng import DrawTable, draw_rows, stream_rng
 from .tensors import rank_exact, zero_tensor
-from .typicality import TypicalityParams, mode_space_size, spectrum_samples
-
-KINDS = ("threshold", "full-rank", "spectrum", "census", "codec-error")
+from .typicality import TypicalityParams, TypicalityParamsError, mode_space_size, spectrum_samples
 
 CSV_HEADER = [
     "kind", "n", "gamma", "statistic", "estimate", "exact",
@@ -51,6 +51,8 @@ CSV_HEADER = [
 ]
 
 _WILSON_Z = 1.96
+
+_Samples = dict[int, list[float]]  # spectrum samples by n
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,9 @@ class ExperimentConfig:
             raise CpdzipError("n_grid must be non-empty")
         if not self.gamma_grid:
             raise CpdzipError("gamma_grid must be non-empty")
+        if min(self.gamma_grid) <= 0:  # even for the kinds that never read gamma
+            least = rational_str(min(self.gamma_grid))
+            raise TypicalityParamsError(f"gamma_grid entries must be positive, got {least}")
         if self.trials < 1:
             raise CpdzipError("trials must be >= 1")
         if min(self.n_grid) < 1:
@@ -126,27 +131,10 @@ class ResultRow:
     trials: int | None
     seed: int
 
-    def csv_fields(self) -> list[str]:
-        def num(v):
-            return "" if v is None else repr(float(v))
-
-        return [
-            self.kind,
-            str(self.n),
-            "" if self.gamma is None else rational_str(self.gamma),
-            self.statistic,
-            num(self.estimate),
-            "" if self.exact is None else rational_str(self.exact),
-            ""
-            if self.bound is None
-            else (rational_str(self.bound) if isinstance(self.bound, Fraction) else repr(float(self.bound))),
-            num(self.stderr),
-            "" if self.trials is None else str(self.trials),
-            str(self.seed),
-            "",  # ms: reserved; left empty for byte-reproducible reruns
-        ]
-
     def json_obj(self) -> dict:
+        """The row's ``CSV_HEADER`` values: rationals as ``p/q`` strings, ``ms``
+        always null."""
+        bound = self.bound
         return {
             "kind": self.kind,
             "n": self.n,
@@ -154,14 +142,20 @@ class ResultRow:
             "statistic": self.statistic,
             "estimate": self.estimate,
             "exact": None if self.exact is None else rational_str(self.exact),
-            "bound": None
-            if self.bound is None
-            else (rational_str(self.bound) if isinstance(self.bound, Fraction) else float(self.bound)),
+            "bound": None if bound is None else (
+                rational_str(bound) if isinstance(bound, Fraction) else float(bound)
+            ),
             "stderr": self.stderr,
             "trials": self.trials,
             "seed": self.seed,
-            "ms": None,
+            "ms": None,  # reserved; left empty for byte-reproducible reruns
         }
+
+    def csv_fields(self) -> list[str]:
+        """``json_obj``'s values as text: empty for null, ``repr`` for a float."""
+        obj = self.json_obj()
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v)
+                for v in map(obj.get, CSV_HEADER)]
 
 
 @dataclass(frozen=True)
@@ -216,123 +210,83 @@ def estimate_full_rank_prob(m: ModelSpec, trials: int, seed: int) -> list[FullRa
     return out
 
 
-class _GridPoint:
+@contextmanager
+def _grid_point(cfg: ExperimentConfig, n: int, gamma: Fraction | None = None):
     """Re-raise budget refusals with the offending grid point identified."""
-
-    def __init__(self, kind: str, n: int, gamma: Fraction | None = None):
-        self.kind, self.n, self.gamma = kind, n, gamma
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None and issubclass(exc_type, BudgetExceededError):
-            where = f"n={self.n}" + (
-                f", gamma={rational_str(self.gamma)}" if self.gamma is not None else ""
-            )
-            raise CpdzipError(f"{self.kind} experiment at {where}: {exc}") from exc
-        return False
+    try:
+        yield
+    except BudgetExceededError as exc:
+        where = f"n={n}" + (f", gamma={rational_str(gamma)}" if gamma is not None else "")
+        raise CpdzipError(f"{cfg.kind} experiment at {where}: {exc}") from exc
 
 
-def _rows_threshold(cfg: ExperimentConfig, base: ModelSpec) -> list[ResultRow]:
-    from .codec import build_decode_book
+def _row(cfg: ExperimentConfig, n: int, statistic: str, *, gamma=None, estimate=None,
+         exact=None, bound=None, stderr=None, trials=None) -> ResultRow:
+    """A row of ``cfg``'s kind and seed; the fields not named stay empty."""
+    return ResultRow(cfg.kind, n, gamma, statistic, estimate, exact, bound, stderr, trials,
+                     cfg.seed)
 
+
+def _rows_threshold(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
         for gamma in cfg.gamma_grid:
             p = TypicalityParams(gamma, n)
-            with _GridPoint(cfg.kind, n, gamma):
+            with _grid_point(cfg, n, gamma):
                 book = build_decode_book(m, p, cfg.budget)
-            rows.append(
-                ResultRow(
-                    cfg.kind, n, gamma, "log_M_per_n",
-                    estimate=book.log_size_nats / n,
-                    exact=Fraction(book.size),
-                    bound=length_bound_nats(m, p) / n,
-                    stderr=None, trials=None, seed=cfg.seed,
-                )
-            )
+            rows.append(_row(cfg, n, "log_M_per_n", gamma=gamma,
+                             estimate=book.log_size_nats / n, exact=Fraction(book.size),
+                             bound=length_bound_nats(m, p) / n))
     return rows
 
 
-def _rows_codec_error(cfg: ExperimentConfig, base: ModelSpec) -> list[ResultRow]:
+def _rows_codec_error(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
         for gamma in cfg.gamma_grid:
-            with _GridPoint(cfg.kind, n, gamma):
+            with _grid_point(cfg, n, gamma):
                 report = measure_scheme(m, TypicalityParams(gamma, n), cfg.budget)
-            rows.append(
-                ResultRow(
-                    cfg.kind, n, gamma, "exact_error_prob",
-                    estimate=float(report.exact_error_prob),
-                    exact=report.exact_error_prob,
-                    bound=report.error_prob_bound,
-                    stderr=None, trials=None, seed=cfg.seed,
-                )
-            )
-            rows.append(
-                ResultRow(
-                    cfg.kind, n, gamma, "log_M_per_n",
-                    estimate=report.threshold_per_n,
-                    exact=Fraction(report.codebook_size),
-                    bound=report.length_bound_nats / n,
-                    stderr=None, trials=None, seed=cfg.seed,
-                )
-            )
+            rows.append(_row(cfg, n, "exact_error_prob", gamma=gamma,
+                             estimate=float(report.exact_error_prob),
+                             exact=report.exact_error_prob, bound=report.error_prob_bound))
+            rows.append(_row(cfg, n, "log_M_per_n", gamma=gamma,
+                             estimate=report.threshold_per_n,
+                             exact=Fraction(report.codebook_size),
+                             bound=report.length_bound_nats / n))
     return rows
 
 
-def _rows_spectrum(cfg: ExperimentConfig, base: ModelSpec) -> tuple[list[ResultRow], dict[int, list[float]]]:
-    rows = []
-    samples_by_n = {}
-    for n in cfg.n_grid:
-        m = base.with_dim(n)
-        samples = spectrum_samples(m, cfg.trials, cfg.seed)
-        samples_by_n[n] = samples
-        mean = statistics.fmean(samples)
-        var = statistics.pvariance(samples, mu=mean)
-        se = math.sqrt(var / cfg.trials)
-        rows.append(
-            ResultRow(
-                cfg.kind, n, None, "spectrum_mean",
-                estimate=mean, exact=None,
-                bound=theoretical_threshold(m),
-                stderr=se, trials=cfg.trials, seed=cfg.seed,
-            )
-        )
-        var_se = var * math.sqrt(2 / max(1, cfg.trials - 1))
-        rows.append(
-            ResultRow(
-                cfg.kind, n, None, "spectrum_var",
-                estimate=var, exact=None, bound=None,
-                stderr=var_se, trials=cfg.trials, seed=cfg.seed,
-            )
-        )
-    return rows, samples_by_n
-
-
-def _rows_full_rank(cfg: ExperimentConfig, base: ModelSpec) -> list[ResultRow]:
+def _rows_spectrum(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
+    """Spectrum rows; each n's samples are stored in ``samples``."""
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
-        estimates = estimate_full_rank_prob(m, cfg.trials, cfg.seed)
-        for est in estimates:
+        samples[n] = spectrum_samples(m, cfg.trials, cfg.seed)
+        mean = statistics.fmean(samples[n])
+        var = statistics.pvariance(samples[n], mu=mean)
+        rows.append(_row(cfg, n, "spectrum_mean", estimate=mean, bound=theoretical_threshold(m),
+                         stderr=math.sqrt(var / cfg.trials), trials=cfg.trials))
+        rows.append(_row(cfg, n, "spectrum_var", estimate=var,
+                         stderr=var * math.sqrt(2 / max(1, cfg.trials - 1)), trials=cfg.trials))
+    return rows
+
+
+def _rows_full_rank(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
+    rows = []
+    for n in cfg.n_grid:
+        m = base.with_dim(n)
+        for est in estimate_full_rank_prob(m, cfg.trials, cfg.seed):
             exact = None
             if mode_space_size(m, est.mode) <= min(cfg.budget, 1 << 16):
                 exact = 1 - exact_rank_deficiency_prob(m, est.mode, cfg.budget)
-            rows.append(
-                ResultRow(
-                    cfg.kind, n, None, f"full_rank_prob_mode_{est.mode}",
-                    estimate=est.estimate, exact=exact, bound=est.bound,
-                    stderr=est.stderr, trials=est.trials, seed=cfg.seed,
-                )
-            )
+            rows.append(_row(cfg, n, f"full_rank_prob_mode_{est.mode}", estimate=est.estimate,
+                             exact=exact, bound=est.bound, stderr=est.stderr, trials=est.trials))
     return rows
 
 
-def _rows_census(cfg: ExperimentConfig, base: ModelSpec) -> list[ResultRow]:
+def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
     sign = all(a.symbols == (-1, 1) for a in base.alphabets)
     is_cubic = base.supersymmetric and base.order == 3 and base.components == 2 and sign
     is_bilinear = not base.supersymmetric and base.order == 2 and base.components == 2 and sign
@@ -343,38 +297,33 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec) -> list[ResultRow]:
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
-        with _GridPoint(cfg.kind, n):
+        with _grid_point(cfg, n):
             census = count_factorizations(zero_tensor(m.order, n), m, budget=cfg.budget)
         expected = 2**n if is_cubic else 2 ** (2 * n + 1)
-        rows.append(
-            ResultRow(
-                cfg.kind, n, None, "zero_tensor_count",
-                estimate=float(census.total_count),
-                exact=Fraction(expected), bound=None,
-                stderr=None, trials=None, seed=cfg.seed,
-            )
-        )
-        rows.append(
-            ResultRow(
-                cfg.kind, n, None, "zero_tensor_prob_closed_minus_brute",
-                estimate=0.0,
-                exact=prob_zero_tensor(m) - brute_force_zero_prob(m, cfg.budget),
-                bound=None, stderr=None, trials=None, seed=cfg.seed,
-            )
-        )
-        if is_bilinear and n >= 2:
+        rows.append(_row(cfg, n, "zero_tensor_count", estimate=float(census.total_count),
+                         exact=Fraction(expected)))
+        rows.append(_row(cfg, n, "zero_tensor_prob_closed_minus_brute", estimate=0.0,
+                         exact=prob_zero_tensor(m) - brute_force_zero_prob(m, cfg.budget)))
+        if is_bilinear:
             for m_rows in range(1, n):
-                t = banded_rows_matrix_tensor(n, m_rows)
-                c = count_factorizations(t, m, budget=cfg.budget)
-                rows.append(
-                    ResultRow(
-                        cfg.kind, n, None, f"banded_count_m_{m_rows}",
-                        estimate=float(c.total_count),
-                        exact=Fraction(2 ** (n - m_rows + 2)), bound=None,
-                        stderr=None, trials=None, seed=cfg.seed,
-                    )
-                )
+                c = count_factorizations(banded_rows_matrix_tensor(n, m_rows), m,
+                                         budget=cfg.budget)
+                rows.append(_row(cfg, n, f"banded_count_m_{m_rows}",
+                                 estimate=float(c.total_count),
+                                 exact=Fraction(2 ** (n - m_rows + 2))))
     return rows
+
+
+# Each kind's row builder.  A builder takes the config, the model it names and
+# a dict that it fills with each n's samples if its kind draws any.
+_ROW_BUILDERS = {
+    "threshold": _rows_threshold,
+    "full-rank": _rows_full_rank,
+    "spectrum": _rows_spectrum,
+    "census": _rows_census,
+    "codec-error": _rows_codec_error,
+}
+KINDS = tuple(_ROW_BUILDERS)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -394,8 +343,6 @@ def write_results(rows: list[ResultRow], out_base: str | Path) -> tuple[Path, Pa
     base = Path(out_base)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -407,7 +354,7 @@ def write_results(rows: list[ResultRow], out_base: str | Path) -> tuple[Path, Pa
     return csv_path, json_path
 
 
-def write_samples_csv(samples_by_n: dict[int, list[float]], out_base: str | Path) -> Path:
+def write_samples_csv(samples_by_n: _Samples, out_base: str | Path) -> Path:
     base = Path(out_base)
     path = base.with_name(base.name + ".samples.csv")
     lines = ["n,trial,value"]
@@ -419,20 +366,11 @@ def write_samples_csv(samples_by_n: dict[int, list[float]], out_base: str | Path
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
-    """Run one experiment; writes <out>.csv and <out>.json atomically."""
-    base = load_model(cfg.model_path)
-    samples_by_n: dict[int, list[float]] = {}
-    if cfg.kind == "threshold":
-        rows = _rows_threshold(cfg, base)
-    elif cfg.kind == "codec-error":
-        rows = _rows_codec_error(cfg, base)
-    elif cfg.kind == "spectrum":
-        rows, samples_by_n = _rows_spectrum(cfg, base)
-    elif cfg.kind == "full-rank":
-        rows = _rows_full_rank(cfg, base)
-    else:
-        rows = _rows_census(cfg, base)
+    """Run one experiment; writes <out>.csv and <out>.json atomically, then
+    <out>.samples.csv if the kind draws samples and ``emit_samples`` is set."""
+    samples: _Samples = {}
+    rows = _ROW_BUILDERS[cfg.kind](cfg, load_model(cfg.model_path), samples)
     paths = write_results(rows, cfg.out)
-    if cfg.kind == "spectrum" and cfg.emit_samples:
-        write_samples_csv(samples_by_n, cfg.out)
+    if samples and cfg.emit_samples:
+        write_samples_csv(samples, cfg.out)
     return paths

@@ -36,7 +36,7 @@ from itertools import chain, repeat
 from operator import mod
 
 from .model import CpdzipError, Distribution, ModelSpec
-from .tensors import FactorMatrix, FactorTuple, replicate
+from .tensors import FactorMatrix, FactorTuple, expand_modes
 
 _MASK64 = (1 << 64) - 1
 
@@ -155,8 +155,7 @@ def draw_tuple(table: DrawTable, rng: random.Random) -> FactorTuple:
         FactorMatrix(mode, rows, alphabet)
         for mode, alphabet, rows in zip(table.modes, table.alphabets, draw_rows(table, rng))
     ]
-    m = table.model
-    return FactorTuple(replicate(mats[0], m.order) if m.supersymmetric else mats)
+    return FactorTuple(expand_modes(table.model, mats))
 
 
 def sample_matrix(m: ModelSpec, mode: int, rng: random.Random) -> FactorMatrix:

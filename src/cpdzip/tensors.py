@@ -23,7 +23,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DocumentError, json_field
-from .model import Alphabet, CpdzipError
+from .model import Alphabet, CpdzipError, ModelSpec
 from .rational import (
     Scalar,
     compact,
@@ -145,6 +145,12 @@ def replicate(x: FactorMatrix, order: int) -> tuple[FactorMatrix, ...]:
     """``x`` copied into each of modes 1..``order``: the matrices of a
     supersymmetric tuple."""
     return tuple(FactorMatrix(i, x.rows, x.alphabet) for i in range(1, order + 1))
+
+
+def expand_modes(m: ModelSpec, mats: Sequence[FactorMatrix]) -> Sequence[FactorMatrix]:
+    """Every mode's matrix from one matrix per independent mode of ``m``: a
+    supersymmetric model's one matrix replicated, otherwise ``mats`` as given."""
+    return replicate(mats[0], m.order) if m.supersymmetric else mats
 
 
 def _outer_flat(vectors: Sequence[Sequence[Scalar]]) -> list[Scalar]:

@@ -36,7 +36,7 @@ from cpdzip.model import (
     theoretical_threshold,
     uniform,
 )
-from cpdzip.tensors import ExactTensor, cpd_compose, zero_tensor
+from cpdzip.tensors import ExactTensor, ShapeError, cpd_compose, zero_tensor
 from cpdzip.typicality import TypicalityParams, typicality_mass
 
 SKEWED = Distribution((Fraction(1, 4), Fraction(3, 4)))
@@ -281,6 +281,26 @@ def test_measure_scheme_budget_refusal_does_not_depend_on_earlier_calls():
     assert measure_scheme(m, p).exact_error_prob == Fraction(58975, 65536)
     with pytest.raises(BudgetExceededError):
         measure_scheme(m, p, budget=100)
+
+
+def test_measure_scheme_checks_the_shape_before_any_sweep(monkeypatch):
+    m = uniform_rank_one(5)
+    p = TypicalityParams(Fraction(1, 10), 3)
+    monkeypatch.setattr(codec, "_space_index", None)  # any sweep would fail
+    for budget in (100, 1 << 16):
+        with pytest.raises(ShapeError):
+            measure_scheme(m, p, budget=budget)
+
+
+def test_measure_scheme_counts_the_fallback_tensor_as_decodable():
+    # at n=2 no matrix of this model is typical: the codebook is empty, and
+    # only the zero tensor, the fallback, decodes to itself
+    m = bilinear_sign_model(2, uniform(2), SKEWED, SKEWED, uniform(2))
+    p = TypicalityParams(Fraction(1, 10), 2)
+    book = build_decode_book(m, p)
+    assert book.tuple_count == 0 and book.fallback_tensor == zero_tensor(2, 2)
+    # x y^T + u v^T = 0 iff (u, v) is (-x, y) or (x, -y): probability 2 (1/4)^2
+    assert measure_scheme(m, p).exact_error_prob == Fraction(7, 8)
 
 
 def test_models_differing_only_in_dists_share_one_structure_table():

@@ -304,6 +304,15 @@ def test_config_validation():
         ExperimentConfig("m.json", "spectrum", (2,), (Fraction(1, 10),), 0, 0, "out")
 
 
+def test_non_positive_gamma_is_refused_even_by_kinds_that_never_read_it(tmp_path):
+    with pytest.raises(CpdzipError, match="positive"):
+        ExperimentConfig("m.json", "spectrum", (2,), (Fraction(1, 10), Fraction(0)), 1, 0, "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(gamma_grid=["1/10", "-1/10"])))
+    with pytest.raises(CpdzipError, match="malformed experiment config: .* positive, got -1/10"):
+        load_experiment_config(path)
+
+
 def test_load_experiment_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdzip.errors import CpdzipError
-from cpdzip.experiments import load_experiment_config
+from cpdzip.experiments import _CONFIG_FIELDS, KINDS, load_experiment_config
 from cpdzip.model import model_from_dict, require_valid
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -147,3 +147,17 @@ def test_non_string_gamma_grid_item_is_refused_by_schema_and_parser(tmp_path, gr
         doc = dict(base, gamma_grid=grid)
         assert not EXPERIMENT_SCHEMA.is_valid(doc)
         assert not parser_accepts_experiment(doc, tmp_path / "cfg.json")
+
+
+@pytest.mark.parametrize("gamma", ["-1/10", "1/0", "0", "0/3"])
+def test_non_positive_or_malformed_gamma_is_refused_by_schema_and_parser(tmp_path, gamma):
+    for base in EXPERIMENT_DOCS:
+        doc = dict(base, gamma_grid=["1/10", gamma])
+        assert not EXPERIMENT_SCHEMA.is_valid(doc)
+        assert not parser_accepts_experiment(doc, tmp_path / "cfg.json")
+
+
+def test_experiment_schema_names_the_parsers_kinds_and_fields():
+    schema = EXPERIMENT_SCHEMA.schema
+    assert tuple(schema["properties"]["kind"]["enum"]) == KINDS
+    assert tuple(schema["properties"]) == _CONFIG_FIELDS
