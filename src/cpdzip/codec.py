@@ -22,9 +22,12 @@ so each codeword has exactly one byte form.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress, count
+from typing import Iterable, Iterator
 
 from .model import (
     BudgetExceededError,
@@ -143,7 +146,10 @@ class Codebook(DecodeBook):
 #
 # Exhaustive sweeps (codebook construction, exact error probability) read a
 # table mapping every tuple of the full space to a compact tensor id, as
-# ``intern_tensors`` numbers them.  The table depends only on the model's
+# ``intern_tensors`` numbers them.  ``_typical_ids`` gathers the typical
+# tuples' ids from it with one C-level slice per typical prefix, filtered by
+# the last mode's typical mask; ``_first_indices`` gives each id the codebook
+# index of its smallest typical tuple.  The table depends only on the model's
 # structure (N, n, R, supersymmetric, alphabets), so uniform and skewed
 # variants of one alphabet share it.  Two bounded memos hold the last four
 # tables and the last four models' tensor probabilities (int numerators over
@@ -187,32 +193,25 @@ def _tensor_probabilities(m: ModelSpec) -> tuple[list[int], int]:
     return totals, denominator
 
 
-def _typical_id_map(
-    space: _SpaceIndex, enums: tuple[TypicalEnumeration, ...]
-) -> dict[int, int]:
-    """tensor id -> codebook index of its smallest generating typical tuple."""
-    id_map: dict[int, int] = {}
+def _typical_ids(space: _SpaceIndex, enums: tuple[TypicalEnumeration, ...]) -> Iterator[int]:
+    """The tensor id of every typical tuple, in codebook-index order: one
+    ``tuple_ids`` slice per typical prefix of the leading modes, filtered by
+    the last mode's typical mask."""
     tuple_ids = space.tuple_ids
-    code_index = 0
-    positions = [e.positions for e in enums]
-    sizes = [len(s) for s in space.spaces]
-    strides = [math.prod(sizes[level + 1 :]) for level in range(len(positions))]
+    last, positions = len(space.spaces[-1]), set(enums[-1].positions)
+    mask = [pos in positions for pos in range(last)]
+    bases, stride = [0], len(tuple_ids)
+    for enum, mats in zip(enums[:-1], space.spaces):
+        stride //= len(mats)
+        bases = [base + pos * stride for base in bases for pos in enum.positions]
+    return chain.from_iterable(compress(tuple_ids[b : b + last], mask) for b in bases)
 
-    def walk(level: int, base: int):
-        nonlocal code_index
-        if level == len(positions) - 1:
-            for pos in positions[level]:
-                tid = tuple_ids[base + pos]
-                if tid not in id_map:
-                    id_map[tid] = code_index
-                code_index += 1
-            return
-        stride = strides[level]
-        for pos in positions[level]:
-            walk(level + 1, base + pos * stride)
 
-    walk(0, 0)
-    return id_map
+def _first_indices(ids: Iterable[int]) -> dict[int, int]:
+    """id -> index of its first occurrence in ``ids``, in first-occurrence order."""
+    first: dict[int, int] = {}
+    deque(map(first.setdefault, ids, count()), maxlen=0)
+    return first
 
 
 def _check_shape(m: ModelSpec, p: TypicalityParams) -> None:
@@ -244,18 +243,15 @@ def build_codebook(
     book = build_decode_book(m, p, budget)
     enums, tuple_count = book.enums, book.tuple_count
     full_total = math.prod(e.space_size for e in enums)
-    tensor_to_index: dict[bytes, int] = {}
+    ids, id_keys = (), []
     if tuple_count and full_total <= budget:
         space = _space_index(m, budget)
-        for tid, code_index in _typical_id_map(space, enums).items():
-            tensor_to_index[space.id_keys[tid]] = code_index
+        ids, id_keys = _typical_ids(space, enums), space.id_keys
     elif tuple_count:
-        tuple_ids, key_to_id = intern_tensors([e.matrices for e in enums], m.order)
-        first = []  # ids count up in first-occurrence order: id k first occurs at first[k]
-        for code_index, tid in enumerate(tuple_ids):
-            if tid == len(first):
-                first.append(code_index)
-        tensor_to_index = dict(zip(key_to_id, first))
+        ids, key_to_id = intern_tensors([e.matrices for e in enums], m.order)
+        id_keys = list(key_to_id)
+    first = _first_indices(ids)
+    tensor_to_index = dict(zip(map(id_keys.__getitem__, first), first.values()))
     return Codebook(**vars(book), tensor_to_index=tensor_to_index)
 
 
@@ -410,12 +406,12 @@ def measure_scheme(
     numerators, denominator = _tensor_probabilities(m)
     book = build_decode_book(m, p, budget)
     enums, tuple_count = book.enums, book.tuple_count
-    id_map = _typical_id_map(space, enums)
+    typical = set(_typical_ids(space, enums))
 
     # a tensor decodes to itself if the codebook indexes it or it is the fallback
-    decodable = sum(numerators[tid] for tid in id_map)
+    decodable = sum(map(numerators.__getitem__, typical))
     fallback_id = space.key_to_id.get(book.fallback_tensor.key())
-    if fallback_id is not None and fallback_id not in id_map:
+    if fallback_id is not None and fallback_id not in typical:
         decodable += numerators[fallback_id]
     error = 1 - Fraction(decodable, denominator)
 

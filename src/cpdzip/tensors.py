@@ -91,7 +91,7 @@ class FactorMatrix:
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        if len(set(map(len, rows))) > 1:
             raise ShapeError("ragged factor matrix")
         object.__setattr__(self, "rows", rows)
 

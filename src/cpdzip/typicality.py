@@ -127,27 +127,32 @@ def log_prob_matrix(x: FactorMatrix, m: ModelSpec) -> float:
 
 def _deviation_terms(
     counts, n: int, m: ModelSpec, mode: int
-) -> list[tuple[Fraction, Fraction]] | None:
-    """(coefficient, p) pairs with D = sum c * (-ln p); None if P(X) = 0.
+) -> list[tuple[int, Fraction]] | None:
+    """(a, p) pairs with D = sum a / den(p) * (-ln p); None if P(X) = 0.
 
     ``counts[r][k]`` is the number of entries of symbol k in column r of an
     n-row matrix X of mode ``mode``.  D is -ln P(X) - n * sum_r H; grouping by
-    (column, symbol) gives c = count - n * p for each symbol of positive
-    probability.
+    (column, symbol) gives the int a = count * den(p) - n * num(p) for each
+    symbol of positive probability.
     """
     terms = []
     for r, column in enumerate(counts):
-        probs = m.dist(mode, r).probs
-        for k, p in enumerate(probs):
-            c = column[k]
+        for c, p in zip(column, m.dist(mode, r).probs):
             if p == 0:
                 if c:
                     return None
                 continue
-            coeff = c - n * p
-            if coeff:
-                terms.append((Fraction(coeff), p))
+            a = c * p.denominator - n * p.numerator
+            if a:
+                terms.append((a, p))
     return terms
+
+
+def _float_deviation(terms) -> float:
+    """D in floats; int true division rounds a / den(q) as ``Fraction`` would."""
+    return math.fsum(
+        a / q.denominator * (math.log(q.denominator) - math.log(q.numerator)) for a, q in terms
+    )
 
 
 def _interval_sign(value) -> bool | None:
@@ -167,12 +172,9 @@ def _is_typical_counts(counts, n: int, m: ModelSpec, mode: int, p: TypicalityPar
         return False  # zero-probability entry
     if not terms:
         return True  # -ln P(X) equals n * sum H exactly (e.g. uniform columns)
-    bound = p.n * p.gamma
+    bound_num, bound_den = p.n * p.gamma.numerator, p.gamma.denominator  # n * gamma
 
-    dev = math.fsum(
-        float(c) * (math.log(q.denominator) - math.log(q.numerator)) for c, q in terms
-    )
-    slack = float(bound) - abs(dev)
+    slack = bound_num / bound_den - abs(_float_deviation(terms))
     if abs(slack) > _FLOAT_MARGIN:
         return slack > 0
 
@@ -184,10 +186,10 @@ def _is_typical_counts(counts, n: int, m: ModelSpec, mode: int, p: TypicalityPar
         for prec in _INTERVAL_PRECISIONS:
             iv.prec = prec
             dev_iv = iv.mpf(0)
-            for c, q in terms:
-                coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
+            for a, q in terms:
+                coeff = iv.mpf(a) / iv.mpf(q.denominator)
                 dev_iv += coeff * iv.log(iv.mpf(q.denominator) / iv.mpf(q.numerator))
-            bound_iv = iv.mpf(bound.numerator) / iv.mpf(bound.denominator)
+            bound_iv = iv.mpf(bound_num) / iv.mpf(bound_den)
             upper = bound_iv - dev_iv
             lower = bound_iv + dev_iv
             up_sign = _interval_sign(upper)

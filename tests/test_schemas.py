@@ -157,6 +157,34 @@ def test_non_positive_or_malformed_gamma_is_refused_by_schema_and_parser(tmp_pat
         assert not parser_accepts_experiment(doc, tmp_path / "cfg.json")
 
 
+@pytest.mark.parametrize("gamma", ["1/10\n", "3\n", "1/10\r\n"])
+def test_gamma_with_a_trailing_newline_is_refused_by_schema_and_parser(tmp_path, gamma):
+    for base in EXPERIMENT_DOCS:
+        doc = dict(base, gamma_grid=["1/10", gamma])
+        assert not EXPERIMENT_SCHEMA.is_valid(doc)
+        assert not parser_accepts_experiment(doc, tmp_path / "cfg.json")
+
+
+def with_trailing_newline(doc, field, end):
+    """A copy of ``doc`` whose first rational in ``field`` ends in ``end``."""
+    doc = json.loads(json.dumps(doc))
+    items = doc[field]
+    while isinstance(items[0], list):
+        items = items[0]
+    items[0] = f"{items[0]}{end}"
+    return doc
+
+
+@pytest.mark.parametrize("field", ["alphabets", "dists"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_model_rational_with_a_trailing_newline_is_refused_by_schema_and_parser(field, end):
+    for base in MODEL_DOCS:
+        doc = with_trailing_newline(base, field, end)
+        assert MODEL_SCHEMA.is_valid(with_trailing_newline(base, field, ""))
+        assert not MODEL_SCHEMA.is_valid(doc)
+        assert not parser_accepts_model(doc)
+
+
 def test_experiment_schema_names_the_parsers_kinds_and_fields():
     schema = EXPERIMENT_SCHEMA.schema
     assert tuple(schema["properties"]["kind"]["enum"]) == KINDS

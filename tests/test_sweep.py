@@ -228,6 +228,45 @@ def test_exact_error_prob_matches_fraction_oracle(name, gamma, error):
     assert measure_scheme(m, p).exact_error_prob == fraction_error_oracle(m, p) == error
 
 
+def typical_index_oracle(m, book):
+    """Packed composition -> smallest codebook index, walking every typical
+    tuple in codebook-index order in plain Python."""
+    spaces = mode_spaces(m, 1 << 20, "oracle sweep")
+    first: dict[bytes, int] = {}
+    for index, pos in enumerate(product(*(e.positions for e in book.enums))):
+        (mats,) = replicated_tuples(m, [[space[k]] for space, k in zip(spaces, pos)])
+        first.setdefault(pack_scalars(compose_entries(mats)), index)
+    return first
+
+
+GATHER_GAMMAS = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(50))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_gathered_codebook_index_matches_the_plain_walk(name):
+    m = MODELS[name]
+    space = codec._space_index(m, 1 << 20)
+    sizes = set()
+    for gamma in GATHER_GAMMAS:
+        cb = codec.build_codebook(m, TypicalityParams(gamma, m.dim))
+        oracle = typical_index_oracle(m, cb)
+        # items and insertion order: keys appear in ascending codebook index
+        assert list(cb.tensor_to_index.items()) == list(oracle.items())
+        assert sum(1 for _ in codec._typical_ids(space, cb.enums)) == cb.tuple_count
+        sizes.add(cb.tuple_count)
+    modes = range(1, m.independent_matrices + 1)
+    assert max(sizes) == math.prod(mode_space_size(m, i) for i in modes)  # every tuple typical
+    if name == "bilinear R=2":
+        assert min(sizes) == 0  # an empty codebook at gamma = 1/10
+    assert len(sizes) > 1
+
+
+def test_first_indices_keeps_each_ids_first_position_in_order():
+    assert codec._first_indices(iter([3, 1, 3, 0, 1, 2])) == {3: 0, 1: 1, 0: 3, 2: 5}
+    assert list(codec._first_indices([3, 1, 3, 0, 1, 2])) == [3, 1, 0, 2]
+    assert codec._first_indices(()) == {}
+
+
 def test_mode_spaces_budget_counts_tuples():
     m = rank_one_sign_model(2, 3, [U2] * 3)  # 4 matrices per mode, 64 tuples
     with pytest.raises(BudgetExceededError, match="test sweep needs 64 items"):

@@ -681,3 +681,18 @@ def test_composition_of_fractional_factors_returns_integral_entries_as_int():
     mats = (factor(1, [[half], [2]]), factor(2, [[2], [half]]))
     assert cpd_compose(mats).entries == t.entries
     assert [type(e) for e in cpd_compose(mats).entries] == [int, Fraction, int, int]
+
+
+@pytest.mark.parametrize(
+    "rows", [((1, 2), (3,)), ((1,), (2, 3)), ((1, 2), (3, 4), ()), ((), (1,))]
+)
+def test_ragged_factor_matrix_is_refused(rows):
+    with pytest.raises(ShapeError, match="ragged"):
+        FactorMatrix(1, rows)
+
+
+def test_empty_and_rectangular_factor_matrices_are_accepted():
+    empty = FactorMatrix(1, ())
+    assert (empty.rows, empty.n, empty.r) == ((), 0, 0)
+    x = FactorMatrix(2, [[1, -1], [Fraction(1, 2), 0]])
+    assert (x.rows, x.n, x.r) == (((1, -1), (Fraction(1, 2), 0)), 2, 2)

@@ -1,6 +1,7 @@
 import math
 import statistics
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -272,6 +273,24 @@ def one_mode_model(n, alphabet, dists):
     return ModelSpec(1, n, len(dists), (alphabet,), (tuple(dists),))
 
 
+FRACTIONAL_MODEL = one_mode_model(
+    3,
+    Alphabet((Fraction(-1, 2), Fraction(1, 3), 2)),
+    (
+        Distribution((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+        Distribution((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))),
+    ),
+)
+ZERO_SYMBOL_MODEL = one_mode_model(
+    3,
+    Alphabet((-1, 0, 1)),
+    (
+        Distribution((Fraction(1, 2), 0, Fraction(1, 2))),
+        Distribution((Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))),
+    ),
+)
+
+
 def assert_type_path_matches_oracle(m, p):
     typical = [
         (pos, x) for pos, x in enumerate(iter_mode_matrices(m, 1)) if is_typical_matrix(x, m, p)
@@ -293,24 +312,14 @@ def test_type_path_matches_oracle_skewed_pair(n):
 
 
 def test_type_path_matches_oracle_zero_probability_symbol():
-    a = Alphabet((-1, 0, 1))
-    dists = (
-        Distribution((Fraction(1, 2), 0, Fraction(1, 2))),
-        Distribution((Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))),
-    )
     for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(50)):
-        enum = assert_type_path_matches_oracle(one_mode_model(3, a, dists), TypicalityParams(gamma, 3))
+        enum = assert_type_path_matches_oracle(ZERO_SYMBOL_MODEL, TypicalityParams(gamma, 3))
         assert all(row[0] != 0 for x in enum.matrices for row in x.rows)
 
 
 def test_type_path_matches_oracle_fractional_alphabet():
-    a = Alphabet((Fraction(-1, 2), Fraction(1, 3), 2))
-    dists = (
-        Distribution((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
-        Distribution((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))),
-    )
     for gamma in (Fraction(1, 10), Fraction(1, 3)):
-        assert_type_path_matches_oracle(one_mode_model(3, a, dists), TypicalityParams(gamma, 3))
+        assert_type_path_matches_oracle(FRACTIONAL_MODEL, TypicalityParams(gamma, 3))
 
 
 def test_type_path_matches_oracle_uniform_columns():
@@ -353,3 +362,64 @@ def test_typicality_mass_at_n64():
     mass = typicality_mass(m, TypicalityParams(Fraction(1, 10), 64), 1)
     assert 0 < mass <= 1
     assert typicality_mass(m, TypicalityParams(Fraction(50), 64), 1) == 1
+
+
+# --- integer deviation terms against the Fraction formula --------------------------
+
+
+def fraction_deviation_terms(counts, n, m, mode):
+    """(c - n p, p) as Fractions per symbol of positive probability with a
+    non-zero coefficient; None if P(X) = 0."""
+    terms = []
+    for r, column in enumerate(counts):
+        for c, q in zip(column, m.dist(mode, r).probs):
+            if q == 0:
+                if c:
+                    return None
+                continue
+            coeff = Fraction(c) - n * q
+            if coeff:
+                terms.append((coeff, q))
+    return terms
+
+
+def fraction_float_deviation(terms):
+    return math.fsum(
+        float(c) * (math.log(q.denominator) - math.log(q.numerator)) for c, q in terms
+    )
+
+
+@pytest.mark.parametrize(
+    "m, gamma, escalations",
+    [
+        (one_mode_model(7, SIGN, SKEWED_PAIR), Fraction(1, 10), 0),
+        (one_mode_model(7, SIGN, SKEWED_PAIR), GAMMA_STAR_7, 1),  # the (3, 5) family
+        (FRACTIONAL_MODEL, Fraction(1, 10), 0),
+        (FRACTIONAL_MODEL, Fraction(1, 3), 0),
+        (ZERO_SYMBOL_MODEL, Fraction(1, 2), 0),
+    ],
+    ids=["n7-1/10", "n7-gamma*", "fractional-1/10", "fractional-1/3", "zero-symbol-1/2"],
+)
+def test_integer_deviation_terms_give_the_fraction_formulas_float(m, gamma, escalations):
+    import cpdzip.typicality as typicality
+
+    n, p = m.dim, TypicalityParams(gamma, m.dim)
+    types = typicality._column_types(m.alphabet(1).size, n)
+    near = 0
+    for counts in product(types, repeat=m.components):
+        expected = fraction_deviation_terms(counts, n, m, 1)
+        terms = typicality._deviation_terms(counts, n, m, 1)
+        if expected is None:
+            assert terms is None
+            assert not typicality._is_typical_counts(counts, n, m, 1, p)
+            continue
+        assert all(type(a) is int for a, _ in terms)
+        assert [(Fraction(a, q.denominator), q) for a, q in terms] == expected
+        dev = typicality._float_deviation(terms)
+        assert dev.hex() == fraction_float_deviation(expected).hex()
+        slack = float(n * gamma) - abs(dev)
+        if terms and abs(slack) <= typicality._FLOAT_MARGIN:
+            near += 1  # decided in interval arithmetic
+        elif terms:
+            assert typicality._is_typical_counts(counts, n, m, 1, p) == (slack > 0)
+    assert near == escalations
