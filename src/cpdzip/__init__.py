@@ -35,6 +35,7 @@ from .tensors import (
     zero_tensor,
 )
 from .typicality import (
+    TypeTable,
     TypicalEnumeration,
     TypicalityParams,
     TypicalityUndecidableError,
@@ -43,6 +44,7 @@ from .typicality import (
     log_prob_matrix,
     matrix_probability,
     spectrum_samples,
+    type_table,
     typicality_mass,
 )
 from .codec import (

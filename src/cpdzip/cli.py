@@ -45,7 +45,7 @@ from .tensors import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from .typicality import TypicalityParams, typicality_mass
+from .typicality import TypicalityParams
 
 
 def _emit(payload, out: str | None) -> None:
@@ -115,10 +115,7 @@ def _cmd_codebook(args) -> int:
         "threshold_per_n": cb.log_size_nats / m.dim,
     }
     if args.stats:
-        masses = [
-            typicality_mass(m, params, i, args.budget)
-            for i in range(1, m.independent_matrices + 1)
-        ]
+        masses = [e.table.mass for e in cb.enums]
         stats["typical_counts"] = [e.count for e in cb.enums]
         stats["typicality_mass"] = [rational_str(x) for x in masses]
         stats["mass_meets_1_minus_gamma"] = [

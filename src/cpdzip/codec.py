@@ -55,7 +55,6 @@ from .typicality import (
     enumerate_typical,
     iter_mode_matrices,
     tuple_weights,
-    typicality_mass,
 )
 
 MAGIC = b"TCPD"
@@ -415,7 +414,7 @@ def measure_scheme(
         decodable += numerators[fallback_id]
     error = 1 - Fraction(decodable, denominator)
 
-    masses = tuple(typicality_mass(m, p, e.mode, budget) for e in enums)
+    masses = tuple(e.table.mass for e in enums)
     mass_bound = 1 - math.prod(masses, start=Fraction(1))
     size = tuple_count + 1
     return SchemeReport(

@@ -109,9 +109,6 @@ class FactorMatrix:
     def columns(self) -> list[tuple[Scalar, ...]]:
         return [self.column(r) for r in range(self.r)]
 
-    def conforms(self, alphabet: Alphabet) -> bool:
-        return all(v in alphabet for row in self.rows for v in row)
-
 
 @dataclass(frozen=True)
 class FactorTuple:

@@ -14,7 +14,7 @@ and the sign is still ambiguous, a hard error is raised rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -57,17 +57,35 @@ class TypicalityParams:
 
 
 @dataclass(frozen=True)
+class TypeTable:
+    """The typical tuples of column types of one mode (method of types):
+    ``weights`` maps each (t_0, ..., t_{R-1}), t_r the symbol counts of column
+    r, to the probability of its matrices as an int over ``denominator``.
+    """
+
+    weights: dict[tuple[tuple[int, ...], ...], int]
+    denominator: int
+
+    @property
+    def mass(self) -> Fraction:
+        """Exact model probability of the mode's typical set."""
+        return Fraction(sum(self.weights.values()), self.denominator)
+
+
+@dataclass(frozen=True)
 class TypicalEnumeration:
     """All typical matrices of one mode in canonical lexicographic order.
 
     ``positions`` holds each matrix's index in the full-space enumeration of
     the mode; the codec uses it to address shared composition tables.
+    ``table`` is the type table the matrices were read from.
     """
 
     mode: int
     matrices: tuple[FactorMatrix, ...]
     positions: tuple[int, ...]
     space_size: int
+    table: TypeTable = field(compare=False)
 
     @property
     def count(self) -> int:
@@ -298,51 +316,42 @@ def enumerate_typical(
     """Enumerate exactly the typical matrices of one mode, canonical order.
 
     Typicality depends only on the type (symbol counts) of each column, so it
-    is decided once per tuple of column types.  In canonical order a matrix
-    whose columns have indices c_0, ..., c_{R-1} among the |A|^n columns (read
-    as base-|A| numbers) sits at position sum_r c_r * (|A|^n)^(R-1-r); walking
-    the leading columns in order and, for each, the last columns that complete
-    a typical type tuple in ascending order yields ascending positions.
+    is read from the mode's ``type_table``, built after the mode-space budget
+    check and kept on the result.  In canonical order a matrix whose columns
+    have indices c_0, ..., c_{R-1} among the |A|^n columns (read as base-|A|
+    numbers) sits at position sum_r c_r * (|A|^n)^(R-1-r); walking the leading
+    columns in order and, for each, the last columns that complete a typical
+    type tuple in ascending order yields ascending positions.
     """
     space = mode_space_size(m, mode)
     if space > budget:
         raise BudgetExceededError(space, budget, f"mode-{mode} enumeration")
+    table = type_table(m, p, mode, budget)
     alphabet = m.alphabet(mode)
     symbols = alphabet.symbols
     n, r = m.dim, m.components
     col_types = []
     col_symbols = []
-    by_type: dict[tuple[int, ...], list[int]] = {}  # column indices, ascending
-    for c, digits in enumerate(product(range(len(symbols)), repeat=n)):
-        counts = [0] * len(symbols)
-        for d in digits:
-            counts[d] += 1
-        col_types.append(tuple(counts))
+    for digits in product(range(len(symbols)), repeat=n):
+        col_types.append(tuple(map(digits.count, range(len(symbols)))))
         col_symbols.append(tuple(symbols[d] for d in digits))
-        by_type.setdefault(col_types[-1], []).append(c)
-    typical = {
-        tt for tt in product(by_type, repeat=r) if _is_typical_counts(tt, n, m, mode, p)
-    }
 
     columns = len(col_types)
-    completions: dict[tuple, list[int]] = {}
+    completions = {  # leading column types -> last columns completing a typical tuple
+        lead: [c for c, t in enumerate(col_types) if lead + (t,) in table.weights]
+        for lead in product(set(col_types), repeat=r - 1)
+    }
     matrices = []
     positions = []
     for i, lead in enumerate(product(range(columns), repeat=r - 1)):
-        lead_types = tuple(col_types[c] for c in lead)
-        last = completions.get(lead_types)
-        if last is None:
-            last = sorted(
-                c for t, cs in by_type.items() if lead_types + (t,) in typical for c in cs
-            )
-            completions[lead_types] = last
+        last = completions[tuple(col_types[c] for c in lead)]
         base = i * columns  # lead is the base-|A|^n numeral of i
         lead_cols = [col_symbols[c] for c in lead]
         for c in last:
             positions.append(base + c)
             rows = tuple(zip(*lead_cols, col_symbols[c]))
             matrices.append(FactorMatrix(mode, rows, alphabet))
-    enum = TypicalEnumeration(mode, tuple(matrices), tuple(positions), space)
+    enum = TypicalEnumeration(mode, tuple(matrices), tuple(positions), space, table)
     # Standard cardinality bound: every typical X has P(X) > exp(-n(sum_r H + gamma)),
     # and the total mass is at most 1.
     if enum.count:
@@ -354,20 +363,20 @@ def enumerate_typical(
     return enum
 
 
-def typicality_mass(
+def type_table(
     m: ModelSpec,
     p: TypicalityParams,
     mode: int,
     budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """Exact model probability of the mode's typical set, by the method of types.
+) -> TypeTable:
+    """Decide every tuple of column types of one mode once, and weigh the
+    typical ones by the method of types.
 
     Column r of type t (t_k entries of symbol k) is one of multinomial(n; t)
-    columns, each of probability prod_k p_{r,k}^t_k; the mass sums the product
-    of these over the typical type tuples.  With column r's probabilities over
-    a common denominator d_r the weights are integers over d_r^n, so the sum
-    runs on ints.  ``budget`` bounds the number of type tuples decided, not
-    the mode space.
+    columns, each of probability prod_k p_{r,k}^t_k; a type tuple's weight is
+    the product of these over its columns.  With column r's probabilities over
+    a common denominator d_r the weights are integers over prod_r d_r^n.
+    ``budget`` bounds the number of type tuples decided, not the mode space.
     """
     n, r = m.dim, m.components
     types = _column_types(m.alphabet(mode).size, n)
@@ -375,23 +384,33 @@ def typicality_mass(
     if tuples > budget:
         raise BudgetExceededError(tuples, budget, f"mode-{mode} type tuples")
     n_fact = math.factorial(n)
-    weights = []
+    column_weights = []
     denominator = 1
     for column in range(r):
         probs = m.dist(mode, column).probs
         d = math.lcm(*(q.denominator for q in probs))
         scaled = [q.numerator * (d // q.denominator) for q in probs]
-        weights.append({
+        column_weights.append({
             t: n_fact // math.prod(map(math.factorial, t))
             * math.prod(s**c for s, c in zip(scaled, t))
             for t in types
         })
         denominator *= d**n
-    total = 0
+    weights = {}
     for tt in product(types, repeat=r):
         if _is_typical_counts(tt, n, m, mode, p):
-            total += math.prod(w[t] for w, t in zip(weights, tt))
-    return Fraction(total, denominator)
+            weights[tt] = math.prod(w[t] for w, t in zip(column_weights, tt))
+    return TypeTable(weights, denominator)
+
+
+def typicality_mass(
+    m: ModelSpec,
+    p: TypicalityParams,
+    mode: int,
+    budget: int = DEFAULT_BUDGET,
+) -> Fraction:
+    """Exact model probability of the mode's typical set, with no enumeration."""
+    return type_table(m, p, mode, budget).mass
 
 
 def spectrum_samples(m: ModelSpec, trials: int, seed: int) -> list[float]:

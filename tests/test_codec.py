@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdzip import codec
+from cpdzip import codec, typicality
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
+from cpdzip.cli import main
 from cpdzip.codec import (
     MAGIC,
     VERSION,
@@ -33,6 +34,7 @@ from cpdzip.model import (
     Distribution,
     ModelSpec,
     model_hash,
+    save_model,
     theoretical_threshold,
     uniform,
 )
@@ -265,6 +267,29 @@ def test_masses_never_exceed_one():
         for mode in (1, 2, 3):
             mass = typicality_mass(m, TypicalityParams(gamma, 3), mode)
             assert 0 <= mass <= 1
+
+
+def test_each_type_tuple_is_decided_once_per_build(monkeypatch, tmp_path):
+    # R=2 order 3, binary, n=3: 4 column types, 16 type tuples per mode, 3 modes
+    sign = Alphabet((-1, 1))
+    skew = Distribution((Fraction(3, 4), Fraction(1, 4)))
+    m = ModelSpec(3, 3, 2, (sign,) * 3, ((skew, skew),) * 3)
+    p = TypicalityParams(Fraction(1, 10), 3)
+    calls = []
+    decide = typicality._is_typical_counts
+    monkeypatch.setattr(
+        typicality, "_is_typical_counts", lambda *args: calls.append(args) or decide(*args)
+    )
+    build_codebook(m, p)
+    assert len(calls) == 48
+    calls.clear()
+    measure_scheme(m, p)
+    assert len(calls) == 48
+    calls.clear()
+    save_model(m, tmp_path / "model.json")
+    args = ["codebook", "--model", str(tmp_path / "model.json"), "--gamma", "1/10", "--stats"]
+    assert main([*args, "--out", str(tmp_path / "stats.json")]) == 0
+    assert len(calls) == 48
 
 
 def test_measure_scheme_budget_refusal():

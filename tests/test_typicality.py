@@ -142,7 +142,7 @@ def test_enumeration_order_is_lexicographic_column_major():
     mats2 = list(iter_mode_matrices(m2, 1))
     assert mats2[0].rows == ((-1, -1), (-1, -1))
     assert mats2[1].rows == ((-1, -1), (-1, 1))  # column 1 varies last, row-within-column first
-    assert mats2[2].rows == ((-1, -1), (1, -1)) or True
+    assert mats2[2].rows == ((-1, 1), (-1, -1))  # columns (-1, -1) and (1, -1)
     # the second matrix differs from the first in the LAST column-major digit
     assert mats2[1].column(0) == (-1, -1) and mats2[1].column(1) == (-1, 1)
 
@@ -217,6 +217,11 @@ def test_enumerate_typical_budget_refusal():
     m = skewed_model(4)
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_typical(m, TypicalityParams(Fraction(1, 10), 4), 1, budget=8)
+    assert exc.value.required == 16
+    # the mode space (16) and the type tuples (5) both exceed the budget: the
+    # mode-space check comes first
+    with pytest.raises(BudgetExceededError, match="mode-1 enumeration") as exc:
+        enumerate_typical(m, TypicalityParams(Fraction(1, 10), 4), 1, budget=4)
     assert exc.value.required == 16
 
 
@@ -300,6 +305,7 @@ def assert_type_path_matches_oracle(m, p):
     assert enum.matrices == tuple(x for _, x in typical)
     expected = sum((matrix_probability(x, m) for _, x in typical), Fraction(0))
     assert typicality_mass(m, p, 1) == expected
+    assert enum.table.mass == expected
     return enum
 
 
