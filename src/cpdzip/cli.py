@@ -11,23 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (
-    FactorizationCensus,
-    count_factorizations,
-    gamma_bound,
-    verify_examples,
-)
-from .codec import (
-    Codebook,
-    build_codebook,
-    build_decode_book,
-    codeword_from_bytes,
-    codeword_to_bytes,
-    decode,
-    encode,
-)
 from .errors import read_json
-from .experiments import load_experiment_config, run_experiment
 from .model import (
     CpdzipError,
     DEFAULT_BUDGET,
@@ -36,7 +20,6 @@ from .model import (
     validate,
 )
 from .rational import rational_str, to_fraction
-from .rng import DrawTable, draw_tuple, stream_rng
 from .tensors import (
     kruskal_rank,
     matrix_from_dict,
@@ -45,7 +28,6 @@ from .tensors import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from .typicality import TypicalityParams
 
 
 def _emit(payload, out: str | None) -> None:
@@ -68,6 +50,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .rng import DrawTable, draw_tuple, stream_rng
+
+    if args.count < 0:
+        raise CpdzipError(f"--count must be non-negative, got {args.count}")
     m = load_model(args.model)
     table = DrawTable(m)
     tuples = []
@@ -78,13 +64,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _build(args) -> Codebook:
+def _build(args):
+    from .codec import build_codebook
+    from .typicality import TypicalityParams
+
     m = load_model(args.model)
     params = TypicalityParams(to_fraction(args.gamma), m.dim)
     return build_codebook(m, params, args.budget)
 
 
 def _cmd_encode(args) -> int:
+    from .codec import codeword_to_bytes, encode
+
     cb = _build(args)
     tensor = tensor_from_dict(read_json(args.input))
     cw = encode(tensor, cb)
@@ -93,6 +84,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from .codec import build_decode_book, codeword_from_bytes, decode
+    from .typicality import TypicalityParams
+
     m = load_model(args.model)
     cw = codeword_from_bytes(Path(args.input).read_bytes())
     if args.gamma is not None and to_fraction(args.gamma) != cw.gamma:
@@ -104,31 +98,30 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    m = load_model(args.model)
-    params = TypicalityParams(to_fraction(args.gamma), m.dim)
-    cb = build_codebook(m, params, args.budget)
+    cb = _build(args)
+    gamma = cb.params.gamma
     stats = {
         "size": cb.size,
         "tuple_count": cb.tuple_count,
         "distinct_tensors": len(cb.tensor_to_index),
         "log_M_nats": cb.log_size_nats,
-        "threshold_per_n": cb.log_size_nats / m.dim,
+        "threshold_per_n": cb.log_size_nats / cb.model.dim,
     }
     if args.stats:
         masses = [e.table.mass for e in cb.enums]
         stats["typical_counts"] = [e.count for e in cb.enums]
         stats["typicality_mass"] = [rational_str(x) for x in masses]
         stats["mass_meets_1_minus_gamma"] = [
-            bool(x >= 1 - params.gamma) for x in masses
+            bool(x >= 1 - gamma) for x in masses
         ]
         stats["mass_gap_to_1_minus_gamma"] = [
-            rational_str(x - (1 - params.gamma)) for x in masses
+            rational_str(x - (1 - gamma)) for x in masses
         ]
     _emit(stats, args.out)
     return 0
 
 
-def _census_payload(census: FactorizationCensus, bound: int) -> dict:
+def _census_payload(census, bound: int) -> dict:
     return {
         "total_count": census.total_count,
         "full_rank_count": census.full_rank_count,
@@ -142,6 +135,8 @@ def _census_payload(census: FactorizationCensus, bound: int) -> dict:
 
 
 def _cmd_count(args) -> int:
+    from .analysis import count_factorizations, gamma_bound
+
     m = load_model(args.model)
     tensor = tensor_from_dict(read_json(args.tensor))
     census = count_factorizations(
@@ -158,6 +153,8 @@ def _cmd_krank(args) -> int:
 
 
 def _cmd_verify_examples(args) -> int:
+    from .analysis import verify_examples
+
     rows = verify_examples(fast=args.fast, budget=args.budget)
     width = max(len(r.name) for r in rows)
     failures = 0
@@ -170,6 +167,8 @@ def _cmd_verify_examples(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import load_experiment_config, run_experiment
+
     cfg = load_experiment_config(args.config)
     if args.out:
         from dataclasses import replace
@@ -260,10 +259,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --out")
     try:
         return args.func(args)
-    except CpdzipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CpdzipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

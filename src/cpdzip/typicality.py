@@ -6,20 +6,22 @@ A matrix X of mode i is typical at level gamma when
 
 with P(X) the product of its entry probabilities.  Membership is decided
 without floating-point misclassification: a float fast path handles points far
-from the boundary, and near the boundary the comparison is re-run in interval
-arithmetic at increasing precision.  If the interval width drops below 1e-9
-and the sign is still ambiguous, a hard error is raised rather than guessing.
+from the boundary, and near the boundary the deviation is enclosed between
+exact rationals at increasing precision.  Each enclosure is built from the
+correctly rounded natural logarithms of ``decimal`` (General Decimal
+Arithmetic): ln k lies strictly between the neighbours of its rounded value.
+If the enclosure is narrower than 1e-9 and the sign is still ambiguous, a hard
+error is raised rather than guessing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
-
-import mpmath
 
 from .model import (
     BudgetExceededError,
@@ -32,7 +34,7 @@ from .tensors import FactorMatrix
 
 _FLOAT_MARGIN = 1e-6
 _INTERVAL_WIDTH_FLOOR = 1e-9
-_INTERVAL_PRECISIONS = (113, 240, 512, 1024)
+_INTERVAL_PRECISIONS = (113, 240, 512, 1024)  # bits; decimal digits = ceil(bits * log10 2)
 
 
 class TypicalityUndecidableError(CpdzipError):
@@ -173,13 +175,32 @@ def _float_deviation(terms) -> float:
     )
 
 
-def _interval_sign(value) -> bool | None:
-    positive = value > 0
-    if positive is True:
-        return True
-    if (value < 0) is True:
-        return False
-    return None
+def _deviation_enclosure(terms, bits: int) -> tuple[Fraction, Fraction]:
+    """Exact rationals lo < D < hi for the D of ``_deviation_terms``.
+
+    ln k is taken once for each distinct integer k among the terms'
+    numerators and denominators, correctly rounded to the decimal digits that
+    ``bits`` bits carry, so it lies strictly between the rounded value's
+    neighbours; each term takes the end its coefficient's sign selects.
+    ln 1 is the exact 0: the lower neighbour of 0 is the smallest subnormal,
+    whose ``Fraction`` has about a million digits.
+    """
+    ctx = Context(prec=math.ceil(bits * math.log10(2)))
+    logs = {1: (0, 0)}
+    for k in {k for _, q in terms for k in (q.numerator, q.denominator)} - {1}:
+        ln = Decimal(k).ln(ctx)
+        logs[k] = (Fraction(ln.next_minus(ctx)), Fraction(ln.next_plus(ctx)))
+    lo = hi = Fraction(0)
+    for a, q in terms:
+        num_lo, num_hi = logs[q.numerator]
+        den_lo, den_hi = logs[q.denominator]
+        coeff = Fraction(a, q.denominator)
+        low, high = coeff * (den_lo - num_hi), coeff * (den_hi - num_lo)
+        if a < 0:
+            low, high = high, low
+        lo += low
+        hi += high
+    return lo, hi
 
 
 def _is_typical_counts(counts, n: int, m: ModelSpec, mode: int, p: TypicalityParams) -> bool:
@@ -196,33 +217,20 @@ def _is_typical_counts(counts, n: int, m: ModelSpec, mode: int, p: TypicalityPar
     if abs(slack) > _FLOAT_MARGIN:
         return slack > 0
 
-    # Near the boundary: interval arithmetic at increasing precision.  typical
-    # iff both bound - D > 0 and bound + D > 0.
-    iv = mpmath.iv
-    old_prec = iv.prec
-    try:
-        for prec in _INTERVAL_PRECISIONS:
-            iv.prec = prec
-            dev_iv = iv.mpf(0)
-            for a, q in terms:
-                coeff = iv.mpf(a) / iv.mpf(q.denominator)
-                dev_iv += coeff * iv.log(iv.mpf(q.denominator) / iv.mpf(q.numerator))
-            bound_iv = iv.mpf(bound_num) / iv.mpf(bound_den)
-            upper = bound_iv - dev_iv
-            lower = bound_iv + dev_iv
-            up_sign = _interval_sign(upper)
-            lo_sign = _interval_sign(lower)
-            if up_sign is False or lo_sign is False:
-                return False
-            if up_sign is True and lo_sign is True:
-                return True
-            width = max(float(upper.delta), float(lower.delta))
-            if width < _INTERVAL_WIDTH_FLOOR:
-                raise TypicalityUndecidableError(
-                    f"typicality boundary unresolved at interval width {width:.3e}"
-                )
-    finally:
-        iv.prec = old_prec
+    # Near the boundary: exact enclosures lo < D < hi at increasing precision.
+    # typical iff -bound < D < bound.
+    bound = Fraction(bound_num, bound_den)
+    for bits in _INTERVAL_PRECISIONS:
+        lo, hi = _deviation_enclosure(terms, bits)
+        if lo >= bound or hi <= -bound:
+            return False
+        if -bound < lo and hi < bound:
+            return True
+        width = hi - lo
+        if width < _INTERVAL_WIDTH_FLOOR:
+            raise TypicalityUndecidableError(
+                f"typicality boundary unresolved at interval width {float(width):.3e}"
+            )
     raise TypicalityUndecidableError(
         "typicality boundary unresolved at maximum precision"
     )

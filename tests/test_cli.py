@@ -191,6 +191,19 @@ def test_missing_model_file_is_reported(tmp_path, capsys):
     assert main(["validate", "--model", str(tmp_path / "nope.json")]) != 0
 
 
+def test_sample_refuses_a_negative_count(model_file, capsys):
+    argv = ["sample", "--model", str(model_file), "--seed", "1", "--count", "-2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sample_count_zero_gives_no_tuples(model_file, capsys):
+    assert main(["sample", "--model", str(model_file), "--seed", "1", "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"seed": 1, "tuples": []}
+
+
 def _encode_args(model_file, tensor_path, out, gamma="1/10"):
     return [
         "encode",
@@ -314,6 +327,27 @@ def test_codebook_malformed_gamma(model_file, capsys):
 
 def test_codebook_model_file_not_json(tmp_path, capsys):
     _assert_error(["codebook", "--model", str(_not_json(tmp_path)), "--gamma", "1/10"], capsys)
+
+
+def test_a_directory_as_input_model_or_out_is_a_one_line_error(model_file, tmp_path, capsys):
+    tensor_path = tmp_path / "zero.json"
+    tensor_path.write_text(json.dumps(tensor_to_dict(zero_tensor(3, 2))))
+    code_path = tmp_path / "zero.tcpd"
+    assert main(_encode_args(model_file, tensor_path, code_path)) == 0
+    model, code = str(model_file), str(code_path)
+    for argv in (
+        _encode_args(model_file, tmp_path, code_path),
+        ["decode", "--model", model, "--input", str(tmp_path)],
+        ["validate", "--model", str(tmp_path)],
+        ["codebook", "--model", str(tmp_path), "--gamma", "1/10"],
+        _encode_args(model_file, tensor_path, tmp_path),
+        ["decode", "--model", model, "--input", code, "--out", str(tmp_path)],
+        ["sample", "--model", model, "--seed", "1", "--out", str(tmp_path)],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "directory" in err.lower(), (argv, err)
 
 
 def _experiment_config(model_file, tmp_path, **changes) -> Path:

@@ -3,7 +3,10 @@ import statistics
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpdzip.analysis import rank_one_sign_model
 from cpdzip.model import (
@@ -19,6 +22,7 @@ from cpdzip.model import (
 from cpdzip.tensors import FactorMatrix
 from cpdzip.typicality import (
     TypicalityParams,
+    TypicalityUndecidableError,
     enumerate_typical,
     is_typical_matrix,
     iter_mode_matrices,
@@ -339,11 +343,13 @@ def test_type_path_matches_oracle_on_the_interval_boundary(monkeypatch):
     import cpdzip.typicality as typicality
 
     calls = []
-    sign = typicality._interval_sign
-    monkeypatch.setattr(typicality, "_interval_sign", lambda v: calls.append(v) or sign(v))
+    enclose = typicality._deviation_enclosure
+    monkeypatch.setattr(
+        typicality, "_deviation_enclosure", lambda t, bits: calls.append(bits) or enclose(t, bits)
+    )
     m = one_mode_model(7, SIGN, SKEWED_PAIR)
     enum = assert_type_path_matches_oracle(m, TypicalityParams(GAMMA_STAR_7, 7))
-    assert calls  # the boundary family was decided in interval arithmetic
+    assert calls  # the boundary family was decided by exact enclosures
     assert enum.count == 2485
 
 
@@ -429,3 +435,100 @@ def test_integer_deviation_terms_give_the_fraction_formulas_float(m, gamma, esca
         elif terms:
             assert typicality._is_typical_counts(counts, n, m, 1, p) == (slack > 0)
     assert near == escalations
+
+
+# --- exact enclosures against an mpmath interval oracle ------------------------------
+
+
+def mpmath_interval_decision(terms, bound_num, bound_den):
+    """Typicality near the boundary in mpmath interval arithmetic, on the same
+    precision ladder and width floor: True/False, or "undecidable"."""
+    iv = mpmath.iv
+    old_prec = iv.prec
+    try:
+        for prec in (113, 240, 512, 1024):
+            iv.prec = prec
+            dev = iv.mpf(0)
+            for a, q in terms:
+                coeff = iv.mpf(a) / iv.mpf(q.denominator)
+                dev += coeff * iv.log(iv.mpf(q.denominator) / iv.mpf(q.numerator))
+            bound = iv.mpf(bound_num) / iv.mpf(bound_den)
+            upper, lower = bound - dev, bound + dev
+            if upper.b < 0 or lower.b < 0:
+                return False
+            if upper.a > 0 and lower.a > 0:
+                return True
+            if max(float(upper.delta), float(lower.delta)) < 1e-9:
+                return "undecidable"
+    finally:
+        iv.prec = old_prec
+    return "undecidable"
+
+
+@st.composite
+def boundary_instances(draw):
+    """A one-mode model (2-4 symbols, R <= 2, n <= 12) whose distributions may
+    hold zero and numerator-1 probabilities, one tuple of column types over
+    the support, and gamma = |float D| / n + eps, so every decision is made
+    within n * 1e-9 of the boundary."""
+    size = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 12))
+    weights = st.lists(
+        st.sampled_from([0, 1, 1, 2, 3, 5, 7]), min_size=size, max_size=size
+    ).filter(any)
+    dists = tuple(
+        Distribution(tuple(Fraction(w, sum(ws)) for w in ws))
+        for ws in draw(st.lists(weights, min_size=1, max_size=2))
+    )
+    counts = tuple(
+        tuple(map(symbols.count, range(size)))
+        for symbols in (
+            draw(st.lists(st.sampled_from([k for k, q in enumerate(d.probs) if q]),
+                          min_size=n, max_size=n))
+            for d in dists
+        )
+    )
+    eps = draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-12, -1e-12, 1e-15, -1e-15]))
+    return one_mode_model(n, Alphabet(tuple(range(size))), dists), counts, eps
+
+
+@given(boundary_instances())
+@settings(max_examples=300, deadline=None)
+def test_exact_enclosures_decide_the_boundary_as_mpmath_intervals_do(instance):
+    import cpdzip.typicality as typicality
+
+    m, counts, eps = instance
+    n = m.dim
+    terms = typicality._deviation_terms(counts, n, m, 1)
+    assume(terms)
+    dev = abs(typicality._float_deviation(terms))
+    gamma = Fraction(dev / n + eps)
+    assume(gamma > 0)
+    p = TypicalityParams(gamma, n)
+    assert abs(float(n * gamma) - dev) <= typicality._FLOAT_MARGIN  # decided near the boundary
+    try:
+        decision = typicality._is_typical_counts(counts, n, m, 1, p)
+    except TypicalityUndecidableError:
+        decision = "undecidable"
+    expected = mpmath_interval_decision(terms, n * gamma.numerator, gamma.denominator)
+    assert decision == expected
+
+
+@given(boundary_instances())
+@settings(max_examples=100, deadline=None)
+def test_deviation_enclosures_hold_d_strictly_inside(instance):
+    import cpdzip.typicality as typicality
+
+    m, counts, _ = instance
+    terms = typicality._deviation_terms(counts, m.dim, m, 1)
+    assume(terms)
+    with mpmath.workprec(4000):
+        dev = mpmath.fsum(
+            mpmath.mpf(a) / q.denominator * (mpmath.log(q.denominator) - mpmath.log(q.numerator))
+            for a, q in terms
+        )
+        for bits in typicality._INTERVAL_PRECISIONS:
+            lo, hi = typicality._deviation_enclosure(terms, bits)
+            assert hi - lo < Fraction(1, 2 ** (bits - 16))
+            assert mpmath.mpf(lo.numerator) / lo.denominator < dev
+            assert dev < mpmath.mpf(hi.numerator) / hi.denominator
