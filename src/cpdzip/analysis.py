@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import compress, product
+from itertools import product
 from operator import mul
 
 from .model import (
@@ -45,7 +45,6 @@ from .tensors import (
     FactorTuple,
     ShapeError,
     expand_modes,
-    intern_tensors,
     mat_mul,
     outer_product,
     pivot_rows,
@@ -60,8 +59,7 @@ from .typicality import (
     iter_mode_matrices,
     matrix_probability,
     mode_space_size,
-    mode_spaces,
-    tuple_weights,
+    space_table,
 )
 
 
@@ -137,9 +135,8 @@ def count_factorizations(
     """
     if t.order != m.order or t.dim != m.dim:
         raise CpdzipError("target tensor shape does not match the model")
-    spaces = mode_spaces(m, budget, "factorization census")
-    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
-    target = key_to_id.get(t.key())
+    space = space_table(m, budget, "factorization census")
+    target = space.key_to_id.get(t.key())
 
     total = 0
     full_rank = 0
@@ -147,7 +144,7 @@ def count_factorizations(
     full_rank_tuples: list[FactorTuple] = []
     r = m.components
 
-    for mats in compress(product(*spaces), (tid == target for tid in tuple_ids)):
+    for mats in space.tuples_with_id(target):
         total += 1
         ft = FactorTuple(expand_modes(m, mats))
         is_full = all(rank_exact(x.rows) == r for x in ft.matrices)
@@ -624,8 +621,17 @@ def gamma_bound(m: ModelSpec) -> int:
 # --- closed-form probabilities ----------------------------------------------------
 
 
-def _is_sign_alphabet(a: Alphabet) -> bool:
-    return a.symbols == SIGN_SYMBOLS
+def example_shape(m: ModelSpec) -> str | None:
+    """The documented example shape of ``m``: "cubic" for the supersymmetric
+    order-3 model and "bilinear" for the order-2 one that is not, both with
+    two components over {-1, 1} in every mode; None for any other model."""
+    if m.components != 2 or any(a.symbols != SIGN_SYMBOLS for a in m.alphabets):
+        return None
+    if m.supersymmetric and m.order == 3:
+        return "cubic"
+    if not m.supersymmetric and m.order == 2:
+        return "bilinear"
+    return None
 
 
 def _sign_dist_value(d: Distribution, symbol: int) -> Fraction:
@@ -639,14 +645,14 @@ def prob_zero_tensor(m: ModelSpec) -> Fraction:
     (single bracket raised to n) and the order-2 two-component sign model
     (two-term sum).  Anything else is refused rather than generalized.
     """
-    sign_modes = all(_is_sign_alphabet(a) for a in m.alphabets)
-    if m.supersymmetric and m.order == 3 and m.components == 2 and sign_modes:
+    shape = example_shape(m)
+    if shape == "cubic":
         p, q = m.dists[0]
         s = sum(
             _sign_dist_value(p, a) * _sign_dist_value(q, -a) for a in SIGN_SYMBOLS
         )
         return s**m.dim
-    if not m.supersymmetric and m.order == 2 and m.components == 2 and sign_modes:
+    if shape == "bilinear":
         px, pu = m.dists[0]
         py, pv = m.dists[1]
         same_xu = sum(
@@ -671,11 +677,10 @@ def prob_zero_tensor(m: ModelSpec) -> Fraction:
 
 def brute_force_zero_prob(m: ModelSpec, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Oracle: sum of model probabilities of all tuples composing to zero."""
-    spaces = mode_spaces(m, budget, "zero-tensor sweep")
-    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
-    zero = key_to_id.get(zero_tensor(m.order, m.dim).key())
-    weights, denominator = tuple_weights(m, spaces)
-    return Fraction(sum(w for tid, w in zip(tuple_ids, weights) if tid == zero), denominator)
+    space = space_table(m, budget, "zero-tensor sweep")
+    totals, denominator = space.probabilities(m)
+    zero = space.key_to_id.get(zero_tensor(m.order, m.dim).key())
+    return Fraction(0 if zero is None else totals[zero], denominator)
 
 
 # --- full-rank probability bounds -------------------------------------------------
@@ -757,8 +762,7 @@ def bilinear_census_summary(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, i
     banded construction) are checked separately.
     """
     m = bilinear_sign_model(n, uniform(2), uniform(2), uniform(2), uniform(2))
-    spaces = mode_spaces(m, budget, "order-2 full census")
-    groups = Counter(intern_tensors(spaces, 2)[0])
+    groups = Counter(space_table(m, budget, "order-2 full census").tuple_ids)
     return dict(Counter(groups.values()))
 
 
@@ -779,9 +783,9 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
     factorization count matches its diagonal pattern: all diagonal sums zero
     gives 2^n, a mixed pattern gives 2, no zero sums gives 1."""
     u2 = uniform(2)
-    spaces = mode_spaces(cubic_sign_model(n, u2, u2), budget, "order-3 full census")
+    space = space_table(cubic_sign_model(n, u2, u2), budget, "order-3 full census")
     groups: dict[int, list[FactorMatrix]] = {}
-    for x, tid in zip(spaces[0], intern_tensors(spaces, 3)[0]):
+    for (x,), tid in zip(space.tuples(), space.tuple_ids):
         groups.setdefault(tid, []).append(x)
     rows = []
     all_ok = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import read_json
@@ -56,11 +57,15 @@ def _cmd_sample(args) -> int:
         raise CpdzipError(f"--count must be non-negative, got {args.count}")
     m = load_model(args.model)
     table = DrawTable(m)
-    tuples = []
-    for t in range(args.count):
-        ft = draw_tuple(table, stream_rng(args.seed, t))
-        tuples.append([matrix_to_dict(x) for x in ft.matrices])
-    _emit({"seed": args.seed, "tuples": tuples}, args.out)
+    # _emit's text of {"seed": ..., "tuples": [...]}, one tuple at a time so that
+    # memory stays flat in --count; a tuple sits two levels deep (four spaces).
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(f'{{\n  "seed": {json.dumps(args.seed)},\n  "tuples": [')
+        for t in range(args.count):
+            ft = draw_tuple(table, stream_rng(args.seed, t))
+            text = json.dumps([matrix_to_dict(x) for x in ft.matrices], indent=2, sort_keys=True)
+            fh.write(("," if t else "") + "\n    " + text.replace("\n", "\n    "))
+        fh.write("\n  ]\n}\n" if args.count else "]\n}\n")
     return 0
 
 

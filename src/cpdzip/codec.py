@@ -26,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, count
-from typing import Iterable, Iterator
+from itertools import count
+from typing import Iterable
 
 from .model import (
     BudgetExceededError,
@@ -45,16 +45,16 @@ from .tensors import (
     compose_entries,
     cpd_compose,
     expand_modes,
-    intern_tensors,
     zero_tensor,
 )
 from .typicality import (
+    SpaceTable,
     TypicalityParams,
     TypicalEnumeration,
     check_space_budget,
     enumerate_typical,
-    iter_mode_matrices,
-    tuple_weights,
+    intern_space,
+    space_table,
 )
 
 MAGIC = b"TCPD"
@@ -143,67 +143,36 @@ class Codebook(DecodeBook):
 
 # --- shared space tables --------------------------------------------------------
 #
-# Exhaustive sweeps (codebook construction, exact error probability) read a
-# table mapping every tuple of the full space to a compact tensor id, as
-# ``intern_tensors`` numbers them.  ``_typical_ids`` gathers the typical
-# tuples' ids from it with one C-level slice per typical prefix, filtered by
-# the last mode's typical mask; ``_first_indices`` gives each id the codebook
-# index of its smallest typical tuple.  The table depends only on the model's
-# structure (N, n, R, supersymmetric, alphabets), so uniform and skewed
-# variants of one alphabet share it.  Two bounded memos hold the last four
-# tables and the last four models' tensor probabilities (int numerators over
-# one common denominator); ``cache_info()`` and ``cache_clear()`` inspect and
-# reset them.  ``_space_index`` checks the budget on every call, hit or miss.
+# Exhaustive sweeps (codebook construction, exact error probability) read the
+# full space's ``SpaceTable``: every tuple's compact tensor id, and the
+# ``typical_ids`` gather over it.  ``_first_indices`` gives each id the
+# codebook index of its smallest typical tuple.  The table depends only on
+# the model's structure (N, n, R, supersymmetric, alphabets), so uniform and
+# skewed variants of one alphabet share it.  Two bounded memos hold the last
+# four tables and the last four models' ``probabilities``; ``cache_info()``
+# and ``cache_clear()`` inspect and reset them.  ``_space_index`` checks the
+# budget on every call, hit or miss.
+
+_FULL_SWEEP = "full tuple-space sweep"
 
 
-@dataclass(frozen=True)
-class _SpaceIndex:
-    spaces: list[list[FactorMatrix]]  # every matrix of each independent mode
-    tuple_ids: list[int]  # lex tuple index -> tensor id
-    id_keys: list[bytes]
-    key_to_id: dict[bytes, int]
-
-
-def _space_index(m: ModelSpec, budget: int) -> _SpaceIndex:
+def _space_index(m: ModelSpec, budget: int) -> SpaceTable:
     """The full-space table of ``m``'s structure, after a budget check that
     runs on every call, whether the table is memoized or not."""
-    check_space_budget(m, budget, "full tuple-space sweep")
+    check_space_budget(m, budget, _FULL_SWEEP)
     return _structure_table(replace(m, dists=()))
 
 
 @lru_cache(maxsize=4)
-def _structure_table(structure: ModelSpec) -> _SpaceIndex:
-    modes = range(1, structure.independent_matrices + 1)
-    spaces = [list(iter_mode_matrices(structure, i)) for i in modes]
-    tuple_ids, key_to_id = intern_tensors(spaces, structure.order)
-    return _SpaceIndex(spaces, tuple_ids, list(key_to_id), key_to_id)
+def _structure_table(structure: ModelSpec) -> SpaceTable:
+    return space_table(structure, math.inf, _FULL_SWEEP)  # _space_index checked the budget
 
 
 @lru_cache(maxsize=4)
 def _tensor_probabilities(m: ModelSpec) -> tuple[list[int], int]:
-    """Total model probability per tensor id, summed over generating tuples,
-    as (int numerators, common denominator).  Callers check the budget with
-    ``_space_index`` first."""
-    space = _structure_table(replace(m, dists=()))
-    totals = [0] * len(space.id_keys)
-    weights, denominator = tuple_weights(m, space.spaces)
-    for tid, w in zip(space.tuple_ids, weights):
-        totals[tid] += w
-    return totals, denominator
-
-
-def _typical_ids(space: _SpaceIndex, enums: tuple[TypicalEnumeration, ...]) -> Iterator[int]:
-    """The tensor id of every typical tuple, in codebook-index order: one
-    ``tuple_ids`` slice per typical prefix of the leading modes, filtered by
-    the last mode's typical mask."""
-    tuple_ids = space.tuple_ids
-    last, positions = len(space.spaces[-1]), set(enums[-1].positions)
-    mask = [pos in positions for pos in range(last)]
-    bases, stride = [0], len(tuple_ids)
-    for enum, mats in zip(enums[:-1], space.spaces):
-        stride //= len(mats)
-        bases = [base + pos * stride for base in bases for pos in enum.positions]
-    return chain.from_iterable(compress(tuple_ids[b : b + last], mask) for b in bases)
+    """``SpaceTable.probabilities`` of the full space.  Callers check the
+    budget with ``_space_index`` first."""
+    return _structure_table(replace(m, dists=())).probabilities(m)
 
 
 def _first_indices(ids: Iterable[int]) -> dict[int, int]:
@@ -240,17 +209,15 @@ def build_codebook(
 ) -> Codebook:
     """Deterministically build the typical-tuple codebook."""
     book = build_decode_book(m, p, budget)
-    enums, tuple_count = book.enums, book.tuple_count
-    full_total = math.prod(e.space_size for e in enums)
-    ids, id_keys = (), []
-    if tuple_count and full_total <= budget:
+    enums = book.enums
+    if book.tuple_count and math.prod(e.space_size for e in enums) <= budget:
         space = _space_index(m, budget)
-        ids, id_keys = _typical_ids(space, enums), space.id_keys
-    elif tuple_count:
-        ids, key_to_id = intern_tensors([e.matrices for e in enums], m.order)
-        id_keys = list(key_to_id)
+        ids = space.typical_ids(enums)
+    else:  # a sweep of the typical tuples alone; none for an empty codebook
+        space = intern_space([e.matrices for e in enums], m.order)
+        ids = space.tuple_ids
     first = _first_indices(ids)
-    tensor_to_index = dict(zip(map(id_keys.__getitem__, first), first.values()))
+    tensor_to_index = dict(zip(map(space.id_keys.__getitem__, first), first.values()))
     return Codebook(**vars(book), tensor_to_index=tensor_to_index)
 
 
@@ -405,7 +372,7 @@ def measure_scheme(
     numerators, denominator = _tensor_probabilities(m)
     book = build_decode_book(m, p, budget)
     enums, tuple_count = book.enums, book.tuple_count
-    typical = set(_typical_ids(space, enums))
+    typical = set(space.typical_ids(enums))
 
     # a tensor decodes to itself if the codebook indexes it or it is the fallback
     decodable = sum(map(numerators.__getitem__, typical))

@@ -26,6 +26,7 @@ from .analysis import (
     brute_force_zero_prob,
     count_factorizations,
     exact_rank_deficiency_prob,
+    example_shape,
     full_rank_prob_bound,
     prob_zero_tensor,
     UnsupportedModelError,
@@ -287,10 +288,8 @@ def _rows_full_rank(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -
 
 
 def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
-    sign = all(a.symbols == (-1, 1) for a in base.alphabets)
-    is_cubic = base.supersymmetric and base.order == 3 and base.components == 2 and sign
-    is_bilinear = not base.supersymmetric and base.order == 2 and base.components == 2 and sign
-    if not (is_cubic or is_bilinear):
+    shape = example_shape(base)
+    if shape is None:
         raise UnsupportedModelError(
             "census experiments support only the two documented example shapes"
         )
@@ -299,12 +298,12 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> l
         m = base.with_dim(n)
         with _grid_point(cfg, n):
             census = count_factorizations(zero_tensor(m.order, n), m, budget=cfg.budget)
-        expected = 2**n if is_cubic else 2 ** (2 * n + 1)
+        expected = 2**n if shape == "cubic" else 2 ** (2 * n + 1)
         rows.append(_row(cfg, n, "zero_tensor_count", estimate=float(census.total_count),
                          exact=Fraction(expected)))
         rows.append(_row(cfg, n, "zero_tensor_prob_closed_minus_brute", estimate=0.0,
                          exact=prob_zero_tensor(m) - brute_force_zero_prob(m, cfg.budget)))
-        if is_bilinear:
+        if shape == "bilinear":
             for m_rows in range(1, n):
                 c = count_factorizations(banded_rows_matrix_tensor(n, m_rows), m,
                                          budget=cfg.budget)

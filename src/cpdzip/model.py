@@ -57,9 +57,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def __contains__(self, value) -> bool:
-        return value in self.symbols
-
     def index_of(self, value) -> int:
         return self.symbols.index(value)
 

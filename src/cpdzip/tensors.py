@@ -63,12 +63,6 @@ class ExactTensor:
     def shape(self) -> tuple[int, ...]:
         return (self.dim,) * self.order
 
-    def at(self, index: Sequence[int]) -> Scalar:
-        flat = 0
-        for i in index:
-            flat = flat * self.dim + i
-        return self.entries[flat]
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 

@@ -7,11 +7,11 @@ A matrix X of mode i is typical at level gamma when
 with P(X) the product of its entry probabilities.  Membership is decided
 without floating-point misclassification: a float fast path handles points far
 from the boundary, and near the boundary the deviation is enclosed between
-exact rationals at increasing precision.  Each enclosure is built from the
-correctly rounded natural logarithms of ``decimal`` (General Decimal
-Arithmetic): ln k lies strictly between the neighbours of its rounded value.
-If the enclosure is narrower than 1e-9 and the sign is still ambiguous, a hard
-error is raised rather than guessing.
+exact rationals at increasing precision, from 113 to 1024 bits.  Each
+enclosure is built from the correctly rounded natural logarithms of
+``decimal`` (General Decimal Arithmetic): ln k lies strictly between the
+neighbours of its rounded value.  If the sign is still ambiguous at 1024
+bits, a hard error is raised rather than guessing.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
-from itertools import product
-from typing import Iterator
+from itertools import chain, compress, product
+from typing import Iterator, Sequence
 
 from .model import (
     BudgetExceededError,
@@ -30,10 +30,9 @@ from .model import (
     ModelSpec,
     entropy,
 )
-from .tensors import FactorMatrix
+from .tensors import FactorMatrix, intern_tensors
 
 _FLOAT_MARGIN = 1e-6
-_INTERVAL_WIDTH_FLOOR = 1e-9
 _INTERVAL_PRECISIONS = (113, 240, 512, 1024)  # bits; decimal digits = ceil(bits * log10 2)
 
 
@@ -79,7 +78,7 @@ class TypicalEnumeration:
     """All typical matrices of one mode in canonical lexicographic order.
 
     ``positions`` holds each matrix's index in the full-space enumeration of
-    the mode; the codec uses it to address shared composition tables.
+    the mode; ``SpaceTable.typical_ids`` reads a full-space table at them.
     ``table`` is the type table the matrices were read from.
     """
 
@@ -226,11 +225,6 @@ def _is_typical_counts(counts, n: int, m: ModelSpec, mode: int, p: TypicalityPar
             return False
         if -bound < lo and hi < bound:
             return True
-        width = hi - lo
-        if width < _INTERVAL_WIDTH_FLOOR:
-            raise TypicalityUndecidableError(
-                f"typicality boundary unresolved at interval width {float(width):.3e}"
-            )
     raise TypicalityUndecidableError(
         "typicality boundary unresolved at maximum precision"
     )
@@ -270,41 +264,77 @@ def check_space_budget(m: ModelSpec, budget: int, what: str) -> None:
         raise BudgetExceededError(total, budget, what)
 
 
-def mode_spaces(m: ModelSpec, budget: int, what: str) -> list[list[FactorMatrix]]:
-    """Every matrix of each independent mode, canonical order, for a sweep of
-    the full tuple space (see ``tensors.intern_tensors``), after
-    ``check_space_budget``."""
-    check_space_budget(m, budget, what)
-    return [list(iter_mode_matrices(m, i)) for i in range(1, m.independent_matrices + 1)]
+@dataclass(frozen=True)
+class SpaceTable:
+    """Every tuple of a tuple space with its tensor id, as ``intern_tensors``
+    numbers them, and each id's packed key (``id_keys``, ``key_to_id``).
 
-
-def tuple_weights(
-    m: ModelSpec, mode_matrices: list[list[FactorMatrix]]
-) -> tuple[Iterator[int], int]:
-    """Exact model probability of every tuple as an int numerator over one
-    common denominator D, in the order of the ids of
-    ``intern_tensors(mode_matrices, m.order)``.
-
-    D is the product over modes of the lcm of that mode's matrix-probability
-    denominators, so a tuple's numerator is the product of its matrices'
-    numerators scaled to their mode's lcm, and sums of weights run on ints.
+    ``spaces`` holds the matrices of each independent mode.  Tuple i is the
+    i-th of ``product(*spaces)``, mode 1 most significant; only the methods
+    below read that order.
     """
-    weights = []
-    denominator = 1
-    for mats in mode_matrices:
-        probs = [matrix_probability(x, m) for x in mats]
-        d = math.lcm(*(q.denominator for q in probs))
-        weights.append([q.numerator * (d // q.denominator) for q in probs])
-        denominator *= d
 
-    def sweep() -> Iterator[int]:
+    spaces: Sequence[Sequence[FactorMatrix]]
+    tuple_ids: list[int]
+    key_to_id: dict[bytes, int]
+    id_keys: list[bytes]
+
+    def tuples(self) -> Iterator[tuple[FactorMatrix, ...]]:
+        """The matrices of every tuple, one per independent mode, in table order."""
+        return product(*self.spaces)
+
+    def tuples_with_id(self, tid: int | None) -> Iterator[tuple[FactorMatrix, ...]]:
+        """The matrices of every tuple whose tensor id is ``tid``, in order."""
+        return compress(self.tuples(), (t == tid for t in self.tuple_ids))
+
+    def typical_ids(self, enums: tuple[TypicalEnumeration, ...]) -> Iterator[int]:
+        """The tensor id of every typical tuple, in codebook-index order, for
+        a table of the full space: one ``tuple_ids`` slice per typical prefix
+        of the leading modes, filtered by the last mode's typical mask."""
+        tuple_ids = self.tuple_ids
+        last, positions = len(self.spaces[-1]), set(enums[-1].positions)
+        mask = [pos in positions for pos in range(last)]
+        bases, stride = [0], len(tuple_ids)
+        for enum, mats in zip(enums[:-1], self.spaces):
+            stride //= len(mats)
+            bases = [base + pos * stride for base in bases for pos in enum.positions]
+        return chain.from_iterable(compress(tuple_ids[b : b + last], mask) for b in bases)
+
+    def probabilities(self, m: ModelSpec) -> tuple[list[int], int]:
+        """Total model probability of each tensor id under ``m``, as int
+        numerators over one denominator: the product over modes of the lcm of
+        the mode's matrix-probability denominators, so every sum runs on ints.
+        """
+        weights = []
+        denominator = 1
+        for mats in self.spaces:
+            probs = [matrix_probability(x, m) for x in mats]
+            d = math.lcm(*(q.denominator for q in probs))
+            weights.append([q.numerator * (d // q.denominator) for q in probs])
+            denominator *= d
+        totals = [0] * len(self.id_keys)
+        ids = iter(self.tuple_ids)
         inner = weights[-1]
         for outer in product(*weights[:-1]):
             base = math.prod(outer)
-            for w in inner:
-                yield base * w
+            for w, tid in zip(inner, ids):  # inner first: zip stops without taking an id
+                totals[tid] += base * w
+        return totals, denominator
 
-    return sweep(), denominator
+
+def intern_space(spaces: Sequence[Sequence[FactorMatrix]], order: int) -> SpaceTable:
+    """The ``SpaceTable`` of the tuples ``product(*spaces)`` of an order-``order``
+    model (one list for a supersymmetric one)."""
+    tuple_ids, key_to_id = intern_tensors(spaces, order)
+    return SpaceTable(spaces, tuple_ids, key_to_id, list(key_to_id))
+
+
+def space_table(m: ModelSpec, budget: int, what: str) -> SpaceTable:
+    """The ``SpaceTable`` of every matrix of each independent mode of ``m``,
+    canonical order, after ``check_space_budget``."""
+    check_space_budget(m, budget, what)
+    modes = range(1, m.independent_matrices + 1)
+    return intern_space([list(iter_mode_matrices(m, i)) for i in modes], m.order)
 
 
 def _column_types(size: int, n: int) -> list[tuple[int, ...]]:

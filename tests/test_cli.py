@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 import cpdzip
 from cpdzip.analysis import cubic_sign_model, rank_one_sign_model
 from cpdzip.cli import main
-from cpdzip.model import Distribution, model_to_dict, save_model, uniform
+from cpdzip.model import Distribution, load_model, model_to_dict, save_model, uniform
+from cpdzip.rng import DrawTable, draw_tuple, stream_rng
 from cpdzip.tensors import (
     FactorMatrix,
     FactorTuple,
@@ -202,6 +204,39 @@ def test_sample_refuses_a_negative_count(model_file, capsys):
 def test_sample_count_zero_gives_no_tuples(model_file, capsys):
     assert main(["sample", "--model", str(model_file), "--seed", "1", "--count", "0"]) == 0
     assert json.loads(capsys.readouterr().out) == {"seed": 1, "tuples": []}
+
+
+RANK_ONE_UNIFORM = Path(__file__).resolve().parents[1] / "models" / "rank_one_uniform.json"
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_sample_streams_the_text_of_one_json_document(
+    model_file, cubic_file, tmp_path, capsys, count
+):
+    for path in (model_file, cubic_file):
+        table = DrawTable(load_model(path))
+        tuples = [
+            [matrix_to_dict(x) for x in draw_tuple(table, stream_rng(7, t)).matrices]
+            for t in range(count)
+        ]
+        expected = json.dumps({"seed": 7, "tuples": tuples}, indent=2, sort_keys=True) + "\n"
+        argv = ["sample", "--model", str(path), "--seed", "7", "--count", str(count)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "samples.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+
+
+def test_sample_memory_does_not_grow_with_count(tmp_path):
+    argv = ["sample", "--model", str(RANK_ONE_UNIFORM), "--seed", "1", "--count", "2000"]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "samples.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the whole document held in memory peaks near 16.5 MiB
 
 
 def _encode_args(model_file, tensor_path, out, gamma="1/10"):

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from cpdzip.analysis import cubic_sign_model, rank_one_sign_model
+from cpdzip.analysis import (
+    UnsupportedModelError,
+    cubic_sign_model,
+    example_shape,
+    prob_zero_tensor,
+    rank_one_sign_model,
+)
 from cpdzip.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -286,6 +292,33 @@ def test_run_experiment_census_rows(tmp_path):
         assert row["estimate"] == float(expected)
     probs = [r for r in rows if r["statistic"] == "zero_tensor_prob_closed_minus_brute"]
     assert all(r["exact"] == "0/1" for r in probs)
+
+
+SIGN = Alphabet((-1, 1))
+ZERO_ONE = Alphabet((0, 1))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ModelSpec(3, 2, 2, (SIGN,) * 3, ((U2, U2),) * 3),  # order 3, not supersymmetric
+        ModelSpec(2, 2, 2, (SIGN,) * 2, ((U2, U2),) * 2, supersymmetric=True),
+        ModelSpec(3, 2, 2, (ZERO_ONE,) * 3, ((U2, U2),) * 3, supersymmetric=True),
+        ModelSpec(2, 2, 2, (SIGN, ZERO_ONE), ((U2, U2),) * 2),
+        ModelSpec(3, 2, 1, (SIGN,) * 3, ((U2,),) * 3, supersymmetric=True),
+        rank_one_sign_model(2, 2, [U2, U2]),
+    ],
+    ids=["order3-plain", "order2-super", "cubic-0/1", "bilinear-0/1", "cubic-R1", "bilinear-R1"],
+)
+def test_near_miss_models_are_refused_by_both_example_shape_callers(tmp_path, m):
+    assert example_shape(m) is None
+    with pytest.raises(UnsupportedModelError):
+        prob_zero_tensor(m)
+    model_path = tmp_path / "near-miss.json"
+    save_model(m, model_path)
+    cfg = _config(tmp_path, model_path=str(model_path), kind="census", n_grid=(2,))
+    with pytest.raises(UnsupportedModelError):
+        run_experiment(cfg)
 
 
 def test_budget_refusal_identifies_grid_point(tmp_path):

@@ -1,9 +1,10 @@
 """Differential tests of the exact sweep engine against per-tuple composition.
 
-``intern_tensors`` and ``tuple_weights`` must agree, tuple by tuple and in
-product order, with ``pack_scalars(compose_entries(...))``, ``composes_to``
-and products of ``matrix_probability``; ``measure_scheme``'s error
-probability must equal a plain ``Fraction`` sum over the full tuple space.
+A ``SpaceTable``'s tensor ids must agree, tuple by tuple and in product
+order, with ``pack_scalars(compose_entries(...))`` and ``composes_to``; its
+per-id probabilities must equal grouped sums of products of
+``matrix_probability``; ``measure_scheme``'s error probability must equal a
+plain ``Fraction`` sum over the full tuple space.
 """
 
 import math
@@ -26,15 +27,15 @@ from cpdzip.tensors import (
     compose_entries,
     composes_to,
     cpd_compose,
-    intern_tensors,
     zero_tensor,
 )
 from cpdzip.typicality import (
     TypicalityParams,
+    intern_space,
+    iter_mode_matrices,
     matrix_probability,
     mode_space_size,
-    mode_spaces,
-    tuple_weights,
+    space_table,
 )
 
 U2 = uniform(2)
@@ -66,18 +67,22 @@ def replicated_tuples(m, spaces):
         yield mats
 
 
-def tuple_keys(m, spaces):
-    """The ``intern_tensors`` key of every tuple, in product order."""
-    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
-    id_keys = list(key_to_id)
-    return [id_keys[tid] for tid in tuple_ids]
+def mode_matrices(m):
+    """Every matrix of each independent mode, canonical order, without a table."""
+    return [list(iter_mode_matrices(m, i)) for i in range(1, m.independent_matrices + 1)]
+
+
+def tuple_keys(table):
+    """The key of every tuple of a ``SpaceTable``, in product order."""
+    return [table.id_keys[tid] for tid in table.tuple_ids]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_sweep_matches_per_tuple_composition(name):
     m = MODELS[name]
-    spaces = mode_spaces(m, 1 << 20, "test sweep")
-    keys = tuple_keys(m, spaces)
+    table = space_table(m, 1 << 20, "test sweep")
+    spaces = table.spaces
+    keys = tuple_keys(table)
     tuples = list(replicated_tuples(m, spaces))
     space = math.prod(mode_space_size(m, i) for i in range(1, m.independent_matrices + 1))
     assert len(keys) == len(tuples) == space
@@ -98,8 +103,7 @@ def test_fractional_sweep_meets_integral_fractions():
     # Fractions, which must pack like the equal ints for the keys to match
     # ``cpd_compose``.
     m = MODELS["fractional order 3 R=2"]
-    spaces = mode_spaces(m, 1 << 20, "test sweep")
-    keys = set(tuple_keys(m, spaces))
+    keys = set(tuple_keys(space_table(m, 1 << 20, "test sweep")))
     half = Fraction(1, 2)
     rows = (((half, 2), (2, 2)), ((2, half), (2, 2)), ((2, 2), (2, half)))
     composed = cpd_compose([FactorMatrix(i, x) for i, x in enumerate(rows, 1)])
@@ -109,9 +113,11 @@ def test_fractional_sweep_meets_integral_fractions():
 
 def test_sweep_of_an_empty_first_or_last_mode():
     m = MODELS["rank-one order 3"]
-    spaces = mode_spaces(m, 1 << 20, "test sweep")
-    assert intern_tensors(spaces[:-1] + [[]], m.order) == ([], {})
-    assert intern_tensors([[]] + spaces[1:], m.order) == ([], {})
+    spaces = mode_matrices(m)
+    for modes in (spaces[:-1] + [[]], [[]] + spaces[1:]):
+        empty = intern_space(modes, m.order)
+        assert (empty.tuple_ids, empty.key_to_id, empty.id_keys) == ([], {}, [])
+        assert empty.probabilities(m)[0] == []
 
 
 SWEEP_SYMBOLS = (-2, -1, 0, Fraction(1, 2), 1, 2)
@@ -139,17 +145,17 @@ def sweep_instances(draw):
 @given(sweep_instances())
 @settings(max_examples=60, deadline=None)
 def test_tensor_ids_equal_the_partition_of_packed_compositions(m):
-    spaces = mode_spaces(m, 1 << 16, "test sweep")
-    packed = [pack_scalars(compose_entries(mats)) for mats in replicated_tuples(m, spaces)]
+    table = space_table(m, 1 << 16, "test sweep")
+    packed = [pack_scalars(compose_entries(mats)) for mats in replicated_tuples(m, table.spaces)]
     first: dict[bytes, int] = {}  # packed composition -> id, in first-occurrence order
     for key in packed:
         first.setdefault(key, len(first))
-    tuple_ids, key_to_id = intern_tensors(spaces, m.order)
     # equal ids exactly when the packed compositions are equal, numbered in
     # first-occurrence order
-    assert tuple_ids == [first[key] for key in packed]
+    assert table.tuple_ids == [first[key] for key in packed]
     # each id's key is the packed composition of its first tuple
-    assert list(key_to_id.items()) == list(first.items())
+    assert list(table.key_to_id.items()) == list(first.items())
+    assert table.id_keys == list(first)
 
 
 def test_cold_table_packs_each_distinct_last_mode_block_once(monkeypatch):
@@ -177,16 +183,21 @@ def test_cold_table_packs_each_distinct_last_mode_block_once(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_tuple_probabilities_match_per_tuple_products(name):
+    # per-id totals against per-tuple Fraction products grouped by packed
+    # composition, in first-occurrence order
     m = MODELS[name]
-    spaces = mode_spaces(m, 1 << 20, "test sweep")
-    weights, denominator = tuple_weights(m, spaces)
-    weights = list(weights)
-    assert all(type(w) is int for w in weights)
-    assert [Fraction(w, denominator) for w in weights] == [
-        math.prod((matrix_probability(x, m) for x in mats), start=Fraction(1))
-        for mats in product(*spaces)
-    ]
-    assert sum(weights) == denominator
+    table = space_table(m, 1 << 20, "test sweep")
+    totals, denominator = table.probabilities(m)
+    assert all(type(w) is int for w in totals)
+    spaces = mode_matrices(m)
+    grouped: dict[bytes, Fraction] = {}
+    for mats, tensor_mats in zip(product(*spaces), replicated_tuples(m, spaces)):
+        key = pack_scalars(compose_entries(tensor_mats))
+        prob = math.prod((matrix_probability(x, m) for x in mats), start=Fraction(1))
+        grouped[key] = grouped.get(key, 0) + prob
+    assert list(grouped) == table.id_keys
+    assert [Fraction(w, denominator) for w in totals] == list(grouped.values())
+    assert sum(totals) == denominator
 
 
 def fraction_error_oracle(m, p):
@@ -195,7 +206,7 @@ def fraction_error_oracle(m, p):
     smallest typical tuple generating it (or, with no typical tuple, the zero
     tensor)."""
     book = build_decode_book(m, p)
-    spaces = mode_spaces(m, 1 << 20, "oracle sweep")
+    spaces = mode_matrices(m)
     typical = {cpd_compose(book.tuple_at(i)).key() for i in range(book.tuple_count)}
     decodable = typical or {zero_tensor(m.order, m.dim).key()}
     error = Fraction(0)
@@ -231,7 +242,7 @@ def test_exact_error_prob_matches_fraction_oracle(name, gamma, error):
 def typical_index_oracle(m, book):
     """Packed composition -> smallest codebook index, walking every typical
     tuple in codebook-index order in plain Python."""
-    spaces = mode_spaces(m, 1 << 20, "oracle sweep")
+    spaces = mode_matrices(m)
     first: dict[bytes, int] = {}
     for index, pos in enumerate(product(*(e.positions for e in book.enums))):
         (mats,) = replicated_tuples(m, [[space[k]] for space, k in zip(spaces, pos)])
@@ -252,7 +263,7 @@ def test_gathered_codebook_index_matches_the_plain_walk(name):
         oracle = typical_index_oracle(m, cb)
         # items and insertion order: keys appear in ascending codebook index
         assert list(cb.tensor_to_index.items()) == list(oracle.items())
-        assert sum(1 for _ in codec._typical_ids(space, cb.enums)) == cb.tuple_count
+        assert sum(1 for _ in space.typical_ids(cb.enums)) == cb.tuple_count
         sizes.add(cb.tuple_count)
     modes = range(1, m.independent_matrices + 1)
     assert max(sizes) == math.prod(mode_space_size(m, i) for i in modes)  # every tuple typical
@@ -267,12 +278,20 @@ def test_first_indices_keeps_each_ids_first_position_in_order():
     assert codec._first_indices(()) == {}
 
 
-def test_mode_spaces_budget_counts_tuples():
+def test_empty_codebook_builds_without_a_sweep(monkeypatch):
+    m = MODELS["bilinear R=2"]
+    monkeypatch.setattr(codec, "_space_index", None)  # any full-space sweep would fail
+    cb = codec.build_codebook(m, TypicalityParams(Fraction(1, 10), m.dim))
+    assert (cb.tuple_count, cb.tensor_to_index) == (0, {})
+    assert cb.fallback_tensor == zero_tensor(m.order, m.dim)
+
+
+def test_space_table_budget_counts_tuples():
     m = rank_one_sign_model(2, 3, [U2] * 3)  # 4 matrices per mode, 64 tuples
     with pytest.raises(BudgetExceededError, match="test sweep needs 64 items"):
-        mode_spaces(m, 63, "test sweep")
-    assert [len(s) for s in mode_spaces(m, 64, "test sweep")] == [4, 4, 4]
+        space_table(m, 63, "test sweep")
+    assert [len(s) for s in space_table(m, 64, "test sweep").spaces] == [4, 4, 4]
     cubic = cubic_sign_model(3, U2, U2)  # one independent matrix: 64 tuples
     with pytest.raises(BudgetExceededError):
-        mode_spaces(cubic, 63, "test sweep")
-    assert [len(s) for s in mode_spaces(cubic, 64, "test sweep")] == [64]
+        space_table(cubic, 63, "test sweep")
+    assert [len(s) for s in space_table(cubic, 64, "test sweep").spaces] == [64]

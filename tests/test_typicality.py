@@ -442,7 +442,7 @@ def test_integer_deviation_terms_give_the_fraction_formulas_float(m, gamma, esca
 
 def mpmath_interval_decision(terms, bound_num, bound_den):
     """Typicality near the boundary in mpmath interval arithmetic, on the same
-    precision ladder and width floor: True/False, or "undecidable"."""
+    precision ladder: True/False, or "undecidable" past its top rung."""
     iv = mpmath.iv
     old_prec = iv.prec
     try:
@@ -458,8 +458,6 @@ def mpmath_interval_decision(terms, bound_num, bound_den):
                 return False
             if upper.a > 0 and lower.a > 0:
                 return True
-            if max(float(upper.delta), float(lower.delta)) < 1e-9:
-                return "undecidable"
     finally:
         iv.prec = old_prec
     return "undecidable"
@@ -512,6 +510,29 @@ def test_exact_enclosures_decide_the_boundary_as_mpmath_intervals_do(instance):
         decision = "undecidable"
     expected = mpmath_interval_decision(terms, n * gamma.numerator, gamma.denominator)
     assert decision == expected
+
+
+def test_a_boundary_point_undecided_at_113_bits_climbs_the_ladder(monkeypatch):
+    # D = (7/3) ln 2 for four 0s and one 1 under (1/3, 2/3) at n = 5; with
+    # n * gamma the midpoint of its 113-bit enclosure, only a higher rung decides.
+    import cpdzip.typicality as typicality
+
+    m = one_mode_model(5, Alphabet((0, 1)), [Distribution((Fraction(1, 3), Fraction(2, 3)))])
+    counts = ((4, 1),)
+    terms = typicality._deviation_terms(counts, 5, m, 1)
+    lo, hi = typicality._deviation_enclosure(terms, 113)
+    gamma = (lo + hi) / 2 / 5
+    calls = []
+    enclose = typicality._deviation_enclosure
+    monkeypatch.setattr(
+        typicality, "_deviation_enclosure", lambda t, bits: calls.append(bits) or enclose(t, bits)
+    )
+    decision = typicality._is_typical_counts(counts, 5, m, 1, TypicalityParams(gamma, 5))
+    with mpmath.workprec(4000):
+        dev = mpmath.mpf(7) / 3 * mpmath.log(2)
+        expected = dev < mpmath.mpf(gamma.numerator) * 5 / gamma.denominator
+    assert calls == [113, 240]
+    assert decision is expected is True
 
 
 @given(boundary_instances())
