@@ -56,6 +56,7 @@ from .tensors import (
     zero_tensor,
 )
 from .typicality import (
+    SpaceTable,
     iter_mode_matrices,
     matrix_probability,
     mode_space_size,
@@ -135,7 +136,13 @@ def count_factorizations(
     """
     if t.order != m.order or t.dim != m.dim:
         raise CpdzipError("target tensor shape does not match the model")
-    space = space_table(m, budget, "factorization census")
+    return _count_in(space_table(m, budget, "factorization census"), t, m, full_rank_only)
+
+
+def _count_in(
+    space: SpaceTable, t: ExactTensor, m: ModelSpec, full_rank_only: bool = False
+) -> FactorizationCensus:
+    """``count_factorizations`` over ``space``, the table of ``m`` its caller built."""
     target = space.key_to_id.get(t.key())
 
     total = 0
@@ -677,7 +684,12 @@ def prob_zero_tensor(m: ModelSpec) -> Fraction:
 
 def brute_force_zero_prob(m: ModelSpec, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Oracle: sum of model probabilities of all tuples composing to zero."""
-    space = space_table(m, budget, "zero-tensor sweep")
+    return _zero_prob(space_table(m, budget, "zero-tensor sweep"), m)
+
+
+def _zero_prob(space: SpaceTable, m: ModelSpec) -> Fraction:
+    """``brute_force_zero_prob`` over ``space``, a table of ``m``'s tuple space;
+    it may have been built for a model that differs only in distributions."""
     totals, denominator = space.probabilities(m)
     zero = space.key_to_id.get(zero_tensor(m.order, m.dim).key())
     return Fraction(0 if zero is None else totals[zero], denominator)
@@ -816,37 +828,35 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
 
 
 def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[CheckRow]:
-    """Reproduce every documented counting and probability identity exactly."""
+    """Reproduce every documented counting and probability identity exactly.
+
+    Each space table is built once, under ``budget``, and read by every check
+    on its space: the zero-tensor count and the trichotomy of one cubic n, the
+    three banded counts, and the uniform and skewed zero probabilities of one
+    cubic n (a table does not depend on the distributions).  No table is kept
+    past the group of checks that reads it.
+    """
     rows: list[CheckRow] = []
     u2 = uniform(2)
 
-    # order-3 supersymmetric zero-tensor count = 2^n
+    # order-3 supersymmetric zero-tensor count = 2^n; at n=4 (3 when fast),
+    # on the same table, the trichotomy: one nonzero diagonal sum -> 2, none zero -> 1
+    trichotomy: list[CheckRow] = []
     for n in (2, 3) if fast else (2, 3, 4, 5):
         m = cubic_sign_model(n, u2, u2)
-        census = count_factorizations(zero_tensor(3, n), m, budget=budget)
+        space = space_table(m, budget, "factorization census")
+        census = _count_in(space, zero_tensor(3, n), m)
         rows.append(_count_check(f"order3 zero-tensor count n={n}", census.total_count, 2**n))
-
-    # trichotomy instances at n=4: one nonzero diagonal sum -> 2; none zero -> 1
-    n = 3 if fast else 4
-    m = cubic_sign_model(n, u2, u2)
-    ones = (1,) * n
-    # one nonzero diagonal sum (last position), all others zero
-    t_two = cubic_sign_tensor(ones, tuple([-1] * (n - 1) + [1]))
-    rows.append(
-        _count_check(
-            f"order3 single-anchor count n={n}",
-            count_factorizations(t_two, m, budget=budget).total_count,
-            2,
-        )
-    )
-    t_one = cubic_sign_tensor(ones, ones)
-    rows.append(
-        _count_check(
-            f"order3 unique count n={n}",
-            count_factorizations(t_one, m, budget=budget).total_count,
-            1,
-        )
-    )
+        if n == (3 if fast else 4):
+            ones = (1,) * n
+            for label, t, expected in (
+                ("single-anchor", cubic_sign_tensor(ones, (-1,) * (n - 1) + (1,)), 2),
+                ("unique", cubic_sign_tensor(ones, ones), 1),
+            ):
+                count = _count_in(space, t, m).total_count
+                trichotomy.append(_count_check(f"order3 {label} count n={n}", count, expected))
+    rows.extend(trichotomy)
+    del space
 
     # exhaustive classification of every tensor at n=3
     rows.extend(cubic_census_classification(3, budget))
@@ -859,12 +869,12 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
             _count_check(f"order2 zero-matrix count n={n}", census.total_count, 2 ** (2 * n + 1))
         )
 
-    # order-2 banded construction count = 2^(n-m+2) at n=4
+    # order-2 banded construction count = 2^(n-m+2) at n=4, one table for every m
     n = 4
     m = bilinear_sign_model(n, u2, u2, u2, u2)
+    space = space_table(m, budget, "factorization census")
     for m_rows in (3,) if fast else (1, 2, 3):
-        t = banded_rows_matrix_tensor(n, m_rows)
-        census = count_factorizations(t, m, budget=budget)
+        census = _count_in(space, banded_rows_matrix_tensor(n, m_rows), m)
         rows.append(
             _count_check(
                 f"order2 banded count n={n} m={m_rows}",
@@ -872,18 +882,20 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
                 2 ** (n - m_rows + 2),
             )
         )
+    del space
 
     # closed-form zero probabilities equal exhaustive brute force, exactly
     skew_p = Distribution((Fraction(1, 4), Fraction(3, 4)))
     skew_q = Distribution((Fraction(2, 3), Fraction(1, 3)))
     for n in (2,) if fast else (2, 3):
+        uniform_model = cubic_sign_model(n, u2, u2)
+        space = space_table(uniform_model, budget, "zero-tensor sweep")
         for label, model in (
-            (f"order3 zero-prob uniform n={n}", cubic_sign_model(n, u2, u2)),
+            (f"order3 zero-prob uniform n={n}", uniform_model),
             (f"order3 zero-prob skewed n={n}", cubic_sign_model(n, skew_p, skew_q)),
         ):
-            rows.append(
-                _prob_check(label, prob_zero_tensor(model), brute_force_zero_prob(model, budget))
-            )
+            rows.append(_prob_check(label, prob_zero_tensor(model), _zero_prob(space, model)))
+    del space
     m2 = bilinear_sign_model(2, u2, u2, u2, u2)
     rows.append(
         _prob_check(

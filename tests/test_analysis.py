@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -49,6 +50,7 @@ from cpdzip.tensors import (
     replicate,
     zero_tensor,
 )
+from cpdzip.typicality import space_table
 
 U2 = uniform(2)
 
@@ -810,3 +812,75 @@ def test_verify_examples_fast_all_pass():
     assert all(isinstance(r, CheckRow) for r in rows)
     failures = [r for r in rows if not r.ok]
     assert failures == []
+
+
+FULL_RUN_ROWS = [
+    ("order3 zero-tensor count n=2", "4", "4", True),
+    ("order3 zero-tensor count n=3", "8", "8", True),
+    ("order3 zero-tensor count n=4", "16", "16", True),
+    ("order3 zero-tensor count n=5", "32", "32", True),
+    ("order3 single-anchor count n=4", "2", "2", True),
+    ("order3 unique count n=4", "1", "1", True),
+    ("order3-census n=3 all 33 tensors classified", "ok", "ok", True),
+    ("order2 zero-matrix count n=2", "32", "32", True),
+    ("order2 zero-matrix count n=3", "128", "128", True),
+    ("order2 banded count n=4 m=1", "32", "32", True),
+    ("order2 banded count n=4 m=2", "16", "16", True),
+    ("order2 banded count n=4 m=3", "8", "8", True),
+    ("order3 zero-prob uniform n=2", "1/4", "1/4", True),
+    ("order3 zero-prob skewed n=2", "49/144", "49/144", True),
+    ("order3 zero-prob uniform n=3", "1/8", "1/8", True),
+    ("order3 zero-prob skewed n=3", "343/1728", "343/1728", True),
+    ("order2 zero-prob uniform n=2", "1/8", "1/8", True),
+]
+
+
+def test_verify_examples_full_run_rows_are_pinned(monkeypatch):
+    builds = []
+    build = analysis.space_table
+    monkeypatch.setattr(
+        analysis, "space_table", lambda m, *args: builds.append((m.order, m.dim)) or build(m, *args)
+    )
+    rows = verify_examples()
+    assert [(r.name, r.observed, r.expected, r.ok) for r in rows] == FULL_RUN_ROWS
+    # each table is built once per group of checks that reads it: the cubic
+    # n=4 table serves the zero count and the trichotomy, the order-2 n=4 table
+    # every banded count, and a cubic table both zero-probability models
+    assert Counter(builds) == {
+        (3, 2): 2, (3, 3): 3, (3, 4): 1, (3, 5): 1, (2, 2): 2, (2, 3): 1, (2, 4): 1
+    }
+    assert len(builds) == 11
+
+
+def test_verify_examples_refuses_a_budget_below_its_first_table():
+    with pytest.raises(BudgetExceededError, match="factorization census") as info:
+        verify_examples(fast=True, budget=15)
+    assert info.value.required == 16  # the cubic n=2 space, 2^4 tuples
+
+
+def test_verify_examples_refuses_a_budget_below_the_banded_table():
+    # every cubic and order-2 n <= 3 table fits 4096; the order-2 n=4 one holds 2^16
+    with pytest.raises(BudgetExceededError, match="factorization census") as info:
+        verify_examples(budget=4096)
+    assert info.value.required == 65536
+
+
+def test_counts_on_a_shared_table_equal_count_factorizations():
+    targets = {
+        bilinear_sign_model(4, U2, U2, U2, U2): [
+            banded_rows_matrix_tensor(4, m_rows) for m_rows in (1, 2, 3)
+        ],
+        cubic_sign_model(4, U2, U2): [
+            zero_tensor(3, 4),
+            cubic_sign_tensor((1, 1, 1, 1), (-1, -1, -1, 1)),
+            cubic_sign_tensor((1, 1, 1, 1), (1, 1, 1, 1)),
+        ],
+        **{cubic_sign_model(n, U2, U2): [zero_tensor(3, n)] for n in (2, 3, 5)},
+        **{bilinear_sign_model(n, U2, U2, U2, U2): [zero_tensor(2, n)] for n in (2, 3)},
+    }
+    for m, tensors in targets.items():
+        space = space_table(m, 1 << 16, "factorization census")  # the largest holds 2^16
+        for t in tensors:
+            for full_rank_only in (False, True):
+                shared = analysis._count_in(space, t, m, full_rank_only)
+                assert shared == count_factorizations(t, m, full_rank_only)

@@ -537,6 +537,38 @@ def test_a_boundary_point_undecided_at_113_bits_climbs_the_ladder(monkeypatch):
 
 @given(boundary_instances())
 @settings(max_examples=100, deadline=None)
+def test_midpoints_of_the_113_bit_enclosure_climb_the_ladder_and_match_mpmath(instance):
+    # n * gamma at the midpoint of the 113-bit enclosure of |D| lies strictly
+    # inside it, so only a higher rung can decide the instance
+    import cpdzip.typicality as typicality
+
+    m, counts, _ = instance
+    n = m.dim
+    terms = typicality._deviation_terms(counts, n, m, 1)
+    assume(terms)
+    lo, hi = typicality._deviation_enclosure(terms, 113)
+    assume(lo > 0 or hi < 0)  # |D| encloses as (|lo|, |hi|) only off zero
+    gamma = (abs(lo) + abs(hi)) / 2 / n
+    calls = []
+    enclose = typicality._deviation_enclosure
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            typicality, "_deviation_enclosure",
+            lambda t, bits: calls.append(bits) or enclose(t, bits),
+        )
+        decision = typicality._is_typical_counts(counts, n, m, 1, TypicalityParams(gamma, n))
+    with mpmath.workprec(4000):
+        dev = mpmath.fsum(
+            mpmath.mpf(a) / q.denominator * (mpmath.log(q.denominator) - mpmath.log(q.numerator))
+            for a, q in terms
+        )
+        expected = abs(dev) < mpmath.mpf(gamma.numerator) * n / gamma.denominator
+    assert calls[0] == 113 and max(calls) > 113
+    assert decision is bool(expected)
+
+
+@given(boundary_instances())
+@settings(max_examples=100, deadline=None)
 def test_deviation_enclosures_hold_d_strictly_inside(instance):
     import cpdzip.typicality as typicality
 
