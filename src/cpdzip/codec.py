@@ -6,8 +6,9 @@ distinct composable tensor the index of its lexicographically smallest
 generating tuple.  One extra index is reserved as the fallback for everything
 else; decoding the fallback yields a fixed tensor (the composition of the
 smallest typical tuple, or the zero tensor when no tuple is typical).
-Decoding needs only the typical enumerations (a ``DecodeBook``); encoding
-also needs the tensor-to-index table, whose build sweeps the tuple space.
+Decoding needs only each mode's typical matrices (a ``DecodeBook``);
+encoding also needs the tensor-to-index table, whose build sweeps the tuple
+space.
 
 Codeword wire format (bit-exact, big-endian):
 
@@ -54,6 +55,7 @@ from .typicality import (
     check_space_budget,
     enumerate_typical,
     intern_space,
+    mode_matrices,
     space_table,
 )
 
@@ -89,14 +91,16 @@ class Codeword:
 class DecodeBook:
     """The part of a codebook that decoding reads.
 
-    Building it enumerates the typical matrices of each mode but never sweeps
-    the tuple space, so a decoder can afford it for one codeword.  Immutable
-    after construction; safe for concurrent decode.
+    Building it enumerates the typical matrices of each mode (``matrices``,
+    read once through ``mode_matrices`` at each enumeration's positions) but
+    never sweeps the tuple space, so a decoder can afford it for one codeword.
+    Immutable after construction; safe for concurrent decode.
     """
 
     model: ModelSpec
     params: TypicalityParams
     enums: tuple[TypicalEnumeration, ...]
+    matrices: tuple[tuple[FactorMatrix, ...], ...]
     tuple_count: int
     fallback_tensor: ExactTensor
     model_digest: bytes  # model_hash(model), computed once per book
@@ -124,9 +128,9 @@ class DecodeBook:
             raise DecodeError(f"tuple index {index} out of range [0, {self.tuple_count})")
         mats = []
         rem = index
-        for enum in reversed(self.enums):
-            rem, pos = divmod(rem, enum.count)
-            mats.append(enum.matrices[pos])
+        for typical in reversed(self.matrices):
+            rem, pos = divmod(rem, len(typical))
+            mats.append(typical[pos])
         mats.reverse()
         return mats
 
@@ -197,11 +201,12 @@ def build_decode_book(
     tuple_count = math.prod(e.count for e in enums)
     if tuple_count > budget:
         raise BudgetExceededError(tuple_count, budget, "codebook tuple space")
+    matrices = tuple(tuple(mode_matrices(m, e.mode, e.positions)) for e in enums)
     if tuple_count:
-        fallback = cpd_compose(FactorTuple(expand_modes(m, [e.matrices[0] for e in enums])))
+        fallback = cpd_compose(FactorTuple(expand_modes(m, [x[0] for x in matrices])))
     else:
         fallback = zero_tensor(m.order, m.dim)
-    return DecodeBook(m, p, enums, tuple_count, fallback, model_hash(m))
+    return DecodeBook(m, p, enums, matrices, tuple_count, fallback, model_hash(m))
 
 
 def build_codebook(
@@ -214,7 +219,7 @@ def build_codebook(
         space = _space_index(m, budget)
         ids = space.typical_ids(enums)
     else:  # a sweep of the typical tuples alone; none for an empty codebook
-        space = intern_space([e.matrices for e in enums], m.order)
+        space = intern_space(book.matrices, m.order)
         ids = space.tuple_ids
     first = _first_indices(ids)
     tensor_to_index = dict(zip(map(space.id_keys.__getitem__, first), first.values()))

@@ -57,9 +57,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index_of(self, value) -> int:
-        return self.symbols.index(value)
-
     def issues(self) -> list[str]:
         out = []
         if not self.symbols:

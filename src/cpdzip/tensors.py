@@ -63,9 +63,6 @@ class ExactTensor:
     def shape(self) -> tuple[int, ...]:
         return (self.dim,) * self.order
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def key(self) -> bytes:
         """Injective byte key for hashing/grouping of exact tensors."""
         return pack_scalars(self.entries)
@@ -456,16 +453,6 @@ def kruskal_rank(m: Matrix) -> int:
         ):
             return t
     return 0
-
-
-def kruskal_condition(t: FactorTuple) -> bool:
-    """Essential-uniqueness sufficient condition: sum of k-ranks >= 2R + (N-1)."""
-    if t.order < 3:
-        raise CpdzipError(
-            f"the k-rank condition applies to order >= 3, got order {t.order}"
-        )
-    total = sum(kruskal_rank(x.rows) for x in t.matrices)
-    return total >= 2 * t.components + (t.order - 1)
 
 
 def solve_exact(a: Matrix, b: Matrix) -> list[list[Scalar]] | None:

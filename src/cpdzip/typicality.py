@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import chain, compress, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     BudgetExceededError,
@@ -75,22 +75,22 @@ class TypeTable:
 
 @dataclass(frozen=True)
 class TypicalEnumeration:
-    """All typical matrices of one mode in canonical lexicographic order.
+    """The typical matrices of one mode, as their canonical positions.
 
-    ``positions`` holds each matrix's index in the full-space enumeration of
-    the mode; ``SpaceTable.typical_ids`` reads a full-space table at them.
-    ``table`` is the type table the matrices were read from.
+    ``positions`` holds, ascending, each typical matrix's index in the
+    full-space enumeration of the mode; ``mode_matrices`` reads the matrices
+    at them, and ``SpaceTable.typical_ids`` reads a full-space table at them.
+    ``table`` is the type table the positions were read from.
     """
 
     mode: int
-    matrices: tuple[FactorMatrix, ...]
     positions: tuple[int, ...]
     space_size: int
     table: TypeTable = field(compare=False)
 
     @property
     def count(self) -> int:
-        return len(self.matrices)
+        return len(self.positions)
 
     @property
     def log_cardinality(self) -> float:
@@ -239,21 +239,30 @@ def mode_space_size(m: ModelSpec, mode: int) -> int:
     return m.alphabet(mode).size ** (m.dim * m.components)
 
 
-def iter_mode_matrices(m: ModelSpec, mode: int) -> Iterator[FactorMatrix]:
-    """Full-space enumeration of mode matrices in canonical order.
+def mode_matrices(
+    m: ModelSpec, mode: int, positions: Iterable[int]
+) -> Iterator[FactorMatrix]:
+    """The mode matrices at ``positions`` of the canonical enumeration.
 
     Canonical order is lexicographic over symbol indices read column-major
     (column 0 rows top to bottom, then column 1, ...); this order is pinned
-    by the format spec and shared by the codec's tuple indexing.
+    by the format spec and shared by the codec's tuple indexing.  So column r
+    of the matrix at a position is digit r of it in base |A|^n, most
+    significant first, and a column digit is read as n symbols in
+    ``product`` order.
     """
     alphabet = m.alphabet(mode)
-    symbols = alphabet.symbols
-    n, r = m.dim, m.components
-    for digits in product(range(len(symbols)), repeat=n * r):
-        rows = tuple(
-            tuple(symbols[digits[c * n + j]] for c in range(r)) for j in range(n)
-        )
+    columns = list(product(alphabet.symbols, repeat=m.dim))
+    base = len(columns)
+    weights = [base**r for r in reversed(range(m.components))]
+    for pos in positions:
+        rows = zip(*(columns[pos // w % base] for w in weights))
         yield FactorMatrix(mode, rows, alphabet)
+
+
+def iter_mode_matrices(m: ModelSpec, mode: int) -> Iterator[FactorMatrix]:
+    """Full-space enumeration of mode matrices in canonical order."""
+    return mode_matrices(m, mode, range(mode_space_size(m, mode)))
 
 
 def check_space_budget(m: ModelSpec, budget: int, what: str) -> None:
@@ -351,45 +360,33 @@ def enumerate_typical(
     mode: int,
     budget: int = DEFAULT_BUDGET,
 ) -> TypicalEnumeration:
-    """Enumerate exactly the typical matrices of one mode, canonical order.
+    """The canonical positions of exactly the typical matrices of one mode.
 
     Typicality depends only on the type (symbol counts) of each column, so it
     is read from the mode's ``type_table``, built after the mode-space budget
-    check and kept on the result.  In canonical order a matrix whose columns
-    have indices c_0, ..., c_{R-1} among the |A|^n columns (read as base-|A|
-    numbers) sits at position sum_r c_r * (|A|^n)^(R-1-r); walking the leading
-    columns in order and, for each, the last columns that complete a typical
-    type tuple in ascending order yields ascending positions.
+    check and kept on the result; no matrix is built.  In canonical order a
+    matrix whose columns have indices c_0, ..., c_{R-1} among the |A|^n
+    columns (read as base-|A| numbers) sits at position
+    sum_r c_r * (|A|^n)^(R-1-r); walking the leading columns in order and, for
+    each, the last columns that complete a typical type tuple in ascending
+    order yields ascending positions.
     """
     space = mode_space_size(m, mode)
     if space > budget:
         raise BudgetExceededError(space, budget, f"mode-{mode} enumeration")
     table = type_table(m, p, mode, budget)
-    alphabet = m.alphabet(mode)
-    symbols = alphabet.symbols
-    n, r = m.dim, m.components
-    col_types = []
-    col_symbols = []
-    for digits in product(range(len(symbols)), repeat=n):
-        col_types.append(tuple(map(digits.count, range(len(symbols)))))
-        col_symbols.append(tuple(symbols[d] for d in digits))
-
+    size, n, r = m.alphabet(mode).size, m.dim, m.components
+    col_types = [tuple(map(d.count, range(size))) for d in product(range(size), repeat=n)]
     columns = len(col_types)
     completions = {  # leading column types -> last columns completing a typical tuple
         lead: [c for c, t in enumerate(col_types) if lead + (t,) in table.weights]
         for lead in product(set(col_types), repeat=r - 1)
     }
-    matrices = []
     positions = []
     for i, lead in enumerate(product(range(columns), repeat=r - 1)):
-        last = completions[tuple(col_types[c] for c in lead)]
         base = i * columns  # lead is the base-|A|^n numeral of i
-        lead_cols = [col_symbols[c] for c in lead]
-        for c in last:
-            positions.append(base + c)
-            rows = tuple(zip(*lead_cols, col_symbols[c]))
-            matrices.append(FactorMatrix(mode, rows, alphabet))
-    enum = TypicalEnumeration(mode, tuple(matrices), tuple(positions), space, table)
+        positions.extend(base + c for c in completions[tuple(col_types[c] for c in lead)])
+    enum = TypicalEnumeration(mode, tuple(positions), space, table)
     # Standard cardinality bound: every typical X has P(X) > exp(-n(sum_r H + gamma)),
     # and the total mass is at most 1.
     if enum.count:

@@ -149,7 +149,7 @@ def test_tuple_at_matches_lexicographic_product():
     m = skewed_rank_one(2, order=2)
     p = TypicalityParams(Fraction(3, 10), 2)
     cb = build_codebook(m, p)
-    expected = list(product(cb.enums[0].matrices, cb.enums[1].matrices))
+    expected = list(product(*cb.matrices))
     for i, mats in enumerate(expected):
         assert cb.tuple_at(i).matrices == mats
 

@@ -125,7 +125,7 @@ PINNED = {
 
 
 def _index_rows(x) -> str:
-    return "|".join("".join(str(x.alphabet.index_of(v)) for v in row) for row in x.rows)
+    return "|".join("".join(str(x.alphabet.symbols.index(v)) for v in row) for row in x.rows)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

@@ -32,7 +32,7 @@ EXPORTS = {
     ),
     "tensors": (
         "ExactTensor", "FactorMatrix", "FactorTuple", "ShapeError", "cpd_compose",
-        "khatri_rao", "khatri_rao_chain", "kruskal_condition", "kruskal_rank",
+        "khatri_rao", "khatri_rao_chain", "kruskal_rank",
         "outer_product", "rank_exact", "unfold", "zero_tensor",
     ),
     "typicality": (

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdzip import tensors
-from cpdzip.model import Alphabet
 from cpdzip.rational import ScalarError, compact
 from cpdzip.tensors import (
     DocumentError,
@@ -19,7 +18,6 @@ from cpdzip.tensors import (
     cpd_compose,
     khatri_rao,
     khatri_rao_chain,
-    kruskal_condition,
     kruskal_rank,
     mat_mul,
     matrix_from_dict,
@@ -123,14 +121,14 @@ def test_cpd_compose_sign_cancellation_is_zero():
     a = (1, 1)
     x = factor(1, [(a[j], -a[j]) for j in range(2)])
     mats = tuple(FactorMatrix(i, x.rows) for i in (1, 2, 3))
-    assert cpd_compose(FactorTuple(mats)).is_zero()
+    assert cpd_compose(FactorTuple(mats)) == zero_tensor(3, 2)
 
 
 def test_cpd_compose_bilinear_cancellation_is_zero():
     # X1 = [x, a*x], X2 = [y, -a*y] with a = 1
     x1 = factor(1, [(1, 1), (1, 1)])
     x2 = factor(2, [(1, -1), (1, -1)])
-    assert cpd_compose(FactorTuple((x1, x2))).is_zero()
+    assert cpd_compose(FactorTuple((x1, x2))) == zero_tensor(2, 2)
 
 
 def test_cpd_compose_single_component_reduces_to_outer():
@@ -355,28 +353,6 @@ def test_kruskal_rank_exhaustive_sign_matrices():
         assert k <= r
         if r == 2:
             assert k == r
-
-
-def test_kruskal_condition_cases():
-    a = Alphabet((-1, 1))
-    full = FactorMatrix(1, ((1, 1), (1, -1)), a)
-    mats3 = tuple(FactorMatrix(i, full.rows, a) for i in (1, 2, 3))
-    assert kruskal_condition(FactorTuple(mats3)) is True  # 3*2 >= 2*2 + 2
-
-    deficient = FactorMatrix(1, ((1, -1), (1, -1)), a)
-    mixed = (deficient,) + mats3[1:]
-    assert kruskal_condition(FactorTuple(mixed)) is False  # 1+2+2 < 6
-
-    # single component: sum of k-ranks is N, strictly below 2R + (N-1) = N + 1,
-    # so the condition never holds at R = 1 (it targets R >= 2)
-    rank1 = tuple(FactorMatrix(i, ((1,), (1,)), a) for i in (1, 2, 3, 4))
-    assert kruskal_condition(FactorTuple(rank1)) is False
-
-
-def test_kruskal_condition_rejects_order_two():
-    mats = tuple(FactorMatrix(i, ((1, 1), (1, -1))) for i in (1, 2))
-    with pytest.raises(CpdzipError):
-        kruskal_condition(FactorTuple(mats))
 
 
 small_fractions = st.builds(

@@ -28,6 +28,7 @@ from cpdzip.typicality import (
     iter_mode_matrices,
     log_prob_matrix,
     matrix_probability,
+    mode_matrices,
     mode_space_size,
     spectrum_samples,
     typicality_mass,
@@ -162,7 +163,7 @@ def test_enumerate_typical_matches_brute_filter():
         assert abs(abs(dev) - 0.4) > 1e-3  # no boundary cases in this grid
         if abs(dev) < 0.4:
             brute.append(x)
-    assert list(enum.matrices) == brute
+    assert list(mode_matrices(m, 1, enum.positions)) == brute
 
 
 def test_typical_count_respects_entropy_bound():
@@ -306,7 +307,7 @@ def assert_type_path_matches_oracle(m, p):
     ]
     enum = enumerate_typical(m, p, 1)
     assert enum.positions == tuple(pos for pos, _ in typical)
-    assert enum.matrices == tuple(x for _, x in typical)
+    assert tuple(mode_matrices(m, 1, enum.positions)) == tuple(x for _, x in typical)
     expected = sum((matrix_probability(x, m) for _, x in typical), Fraction(0))
     assert typicality_mass(m, p, 1) == expected
     assert enum.table.mass == expected
@@ -324,7 +325,8 @@ def test_type_path_matches_oracle_skewed_pair(n):
 def test_type_path_matches_oracle_zero_probability_symbol():
     for gamma in (Fraction(1, 10), Fraction(1, 2), Fraction(50)):
         enum = assert_type_path_matches_oracle(ZERO_SYMBOL_MODEL, TypicalityParams(gamma, 3))
-        assert all(row[0] != 0 for x in enum.matrices for row in x.rows)
+        typical = mode_matrices(ZERO_SYMBOL_MODEL, 1, enum.positions)
+        assert all(row[0] != 0 for x in typical for row in x.rows)
 
 
 def test_type_path_matches_oracle_fractional_alphabet():
@@ -360,6 +362,7 @@ def test_typicality_mass_counts_type_tuples_not_the_mode_space(monkeypatch):
         raise AssertionError("typicality_mass must not enumerate matrices")
 
     monkeypatch.setattr(typicality, "iter_mode_matrices", forbidden)
+    monkeypatch.setattr(typicality, "mode_matrices", forbidden)
     monkeypatch.setattr(typicality, "enumerate_typical", forbidden)
     m = one_mode_model(4, SIGN, SKEWED_PAIR)  # 5 column types, 25 type tuples, 256 matrices
     p = TypicalityParams(Fraction(1, 10), 4)
@@ -367,6 +370,61 @@ def test_typicality_mass_counts_type_tuples_not_the_mode_space(monkeypatch):
         typicality_mass(m, p, 1, budget=24)
     assert exc.value.required == 25
     assert 0 < typicality_mass(m, p, 1, budget=25) < 1
+
+
+def test_enumerations_and_masses_build_no_factor_matrix(monkeypatch):
+    import cpdzip.typicality as typicality
+
+    cases = [
+        (one_mode_model(6, SIGN, SKEWED_PAIR), Fraction(1, 10)),
+        (one_mode_model(7, SIGN, SKEWED_PAIR), GAMMA_STAR_7),
+        (ZERO_SYMBOL_MODEL, Fraction(1, 2)),
+        (FRACTIONAL_MODEL, Fraction(1, 3)),
+    ]
+
+    def outputs():
+        out = []
+        for m, gamma in cases:
+            p = TypicalityParams(gamma, m.dim)
+            enum = enumerate_typical(m, p, 1)
+            out.append((enum.positions, enum.count, typicality_mass(m, p, 1)))
+        return out
+
+    expected = outputs()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an enumeration or a mass built a factor matrix")
+
+    monkeypatch.setattr(typicality, "FactorMatrix", forbidden)
+    assert outputs() == expected
+
+
+@st.composite
+def mode_positions(draw):
+    """(|A|, n, R, positions) with a mode space of at most 2^12 matrices."""
+    size = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3))
+    max_n = {1: 4, 2: 12 // r, 3: 7 // r}[size]
+    n = draw(st.integers(1, max_n))
+    space = size ** (n * r)
+    return size, n, r, draw(st.lists(st.integers(0, space - 1), min_size=1, max_size=8))
+
+
+@given(mode_positions())
+@settings(max_examples=200, deadline=None)
+def test_mode_matrices_read_positions_in_the_format_spec_order(case):
+    # FORMAT.md: position k is the k-th digit string of product(range(|A|), repeat=n*R),
+    # read column-major: digit c*n + j is the symbol index of row j, column c
+    size, n, r, positions = case
+    alphabet = Alphabet((Fraction(-1, 2), 0, 3)[:size])
+    m = ModelSpec(1, n, r, (alphabet,), ((uniform(size),) * r,))
+    digits = list(product(range(size), repeat=n * r))
+    got = list(mode_matrices(m, 1, positions))
+    assert len(got) == len(positions)
+    for pos, x in zip(positions, got):
+        d = digits[pos]
+        rows = tuple(tuple(alphabet.symbols[d[c * n + j]] for c in range(r)) for j in range(n))
+        assert (x.mode, x.rows, x.alphabet) == (1, rows, alphabet)
 
 
 def test_typicality_mass_at_n64():
