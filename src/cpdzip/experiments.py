@@ -21,17 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import (
-    banded_rows_matrix_tensor,
-    brute_force_zero_prob,
-    count_factorizations,
-    exact_rank_deficiency_prob,
-    example_shape,
-    full_rank_prob_bound,
-    prob_zero_tensor,
-    UnsupportedModelError,
-)
-from .codec import build_decode_book, length_bound_nats, measure_scheme
 from .errors import DocumentError, json_field, read_json, refuse_unknown_fields
 from .model import (
     BudgetExceededError,
@@ -44,7 +33,13 @@ from .model import (
 from .rational import rational_str, to_fraction
 from .rng import DrawTable, draw_rows, stream_rng
 from .tensors import rank_exact, zero_tensor
-from .typicality import TypicalityParams, TypicalityParamsError, mode_space_size, spectrum_samples
+from .typicality import (
+    TypicalityParams,
+    TypicalityParamsError,
+    enumerate_typical,
+    mode_space_size,
+    spectrum_samples,
+)
 
 CSV_HEADER = [
     "kind", "n", "gamma", "statistic", "estimate", "exact",
@@ -84,6 +79,8 @@ class ExperimentConfig:
             raise CpdzipError("n_grid entries must be >= 1")
         if self.budget < 1:
             raise CpdzipError("budget must be >= 1")
+        if all(part in ("", ".") for part in self.out.split("/")):
+            raise DocumentError(f"out must name a file, got {self.out!r}")
 
 
 _CONFIG_FIELDS = ("model", "kind", "n_grid", "gamma_grid", "trials", "seed", "out", "budget",
@@ -173,6 +170,8 @@ class FullRankEstimate:
 
 def estimate_full_rank_prob(m: ModelSpec, trials: int, seed: int) -> list[FullRankEstimate]:
     """Monte-Carlo estimate of Pr{rank(X_i) = R} per mode with Wilson interval."""
+    from .analysis import full_rank_prob_bound
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     table = DrawTable(m)
@@ -229,20 +228,27 @@ def _row(cfg: ExperimentConfig, n: int, statistic: str, *, gamma=None, estimate=
 
 
 def _rows_threshold(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
+    """|M| = (product of each independent mode's typical count) + 1, the
+    fallback slot; no matrix or decode book is built."""
+    from .codec import length_bound_nats
+
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
         for gamma in cfg.gamma_grid:
             p = TypicalityParams(gamma, n)
             with _grid_point(cfg, n, gamma):
-                book = build_decode_book(m, p, cfg.budget)
+                size = math.prod(enumerate_typical(m, p, i, cfg.budget).count
+                                 for i in range(1, m.independent_matrices + 1)) + 1
             rows.append(_row(cfg, n, "log_M_per_n", gamma=gamma,
-                             estimate=book.log_size_nats / n, exact=Fraction(book.size),
+                             estimate=math.log(size) / n, exact=Fraction(size),
                              bound=length_bound_nats(m, p) / n))
     return rows
 
 
 def _rows_codec_error(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
+    from .codec import measure_scheme
+
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
@@ -275,6 +281,8 @@ def _rows_spectrum(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) ->
 
 
 def _rows_full_rank(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
+    from .analysis import exact_rank_deficiency_prob
+
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
@@ -288,6 +296,15 @@ def _rows_full_rank(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -
 
 
 def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
+    from .analysis import (
+        UnsupportedModelError,
+        banded_rows_matrix_tensor,
+        brute_force_zero_prob,
+        count_factorizations,
+        example_shape,
+        prob_zero_tensor,
+    )
+
     shape = example_shape(base)
     if shape is None:
         raise UnsupportedModelError(
@@ -314,7 +331,8 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> l
 
 
 # Each kind's row builder.  A builder takes the config, the model it names and
-# a dict that it fills with each n's samples if its kind draws any.
+# a dict that it fills with each n's samples if its kind draws any.  It imports
+# the analysis or codec names that it calls, so a run loads only its kind's code.
 _ROW_BUILDERS = {
     "threshold": _rows_threshold,
     "full-rank": _rows_full_rank,
@@ -339,9 +357,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_results(rows: list[ResultRow], out_base: str | Path) -> tuple[Path, Path]:
+    """Write ``rows`` atomically to <out_base>.csv and <out_base>.json; the
+    suffixes are appended, so ``runs/a.v2`` gives ``runs/a.v2.csv``."""
     base = Path(out_base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
+    csv_path = base.with_name(base.name + ".csv")
+    json_path = base.with_name(base.name + ".json")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -366,7 +386,11 @@ def write_samples_csv(samples_by_n: _Samples, out_base: str | Path) -> Path:
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Run one experiment; writes <out>.csv and <out>.json atomically, then
-    <out>.samples.csv if the kind draws samples and ``emit_samples`` is set."""
+    <out>.samples.csv if the kind draws samples and ``emit_samples`` is set.
+
+    Only the kind's row builder loads its code: ``spectrum`` loads neither
+    ``analysis`` nor ``codec``, ``full-rank`` and ``census`` load
+    ``analysis``, and ``threshold`` and ``codec-error`` load ``codec``."""
     samples: _Samples = {}
     rows = _ROW_BUILDERS[cfg.kind](cfg, load_model(cfg.model_path), samples)
     paths = write_results(rows, cfg.out)

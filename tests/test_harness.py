@@ -210,6 +210,22 @@ def test_threshold_experiment_does_not_sweep_the_tuple_space(tmp_path, monkeypat
     ]
 
 
+def test_threshold_experiment_counts_a_book_larger_than_the_budget(tmp_path):
+    # order 3, R = 2, every mode's columns (1/4, 3/4) and (2/3, 1/3): each mode
+    # has 566 typical matrices at n = 6, gamma = 1/10, so |M| = 566^3 + 1 is
+    # over the default budget, which bounds each mode's space of 2^12 matrices
+    model_path = tmp_path / "typical.json"
+    columns = (Distribution((Fraction(1, 4), Fraction(3, 4))),
+               Distribution((Fraction(2, 3), Fraction(1, 3))))
+    save_model(ModelSpec(3, 6, 2, (Alphabet((-1, 1)),) * 3, (columns,) * 3), model_path)
+    cfg = _config(tmp_path, model_path=str(model_path), n_grid=(6,))
+    assert 566**3 + 1 > cfg.budget
+    _, json_path = run_experiment(cfg)
+    [row] = json.loads(json_path.read_text())
+    assert row["exact"] == "181321497/1" == f"{566**3 + 1}/1"
+    assert row["estimate"] == math.log(566**3 + 1) / 6
+
+
 def test_run_experiment_rerun_is_byte_identical(tmp_path):
     cfg = _config(tmp_path)
     csv1, json1 = run_experiment(cfg)
@@ -405,6 +421,28 @@ def test_write_results_row_shape(tmp_path):
     fields = lines[1].split(",")
     assert len(fields) == len(CSV_HEADER)
     assert fields[-1] == ""  # ms column reserved, empty for reproducibility
+
+
+def test_a_dotted_out_gets_its_suffixes_appended(tmp_path):
+    runs = tmp_path / "runs"
+    for version in ("a.v1", "a.v2"):  # neither run overwrites the other's files
+        cfg = _config(tmp_path, kind="spectrum", n_grid=(2,), trials=5,
+                      out=str(runs / version), emit_samples=True)
+        assert run_experiment(cfg) == (runs / f"{version}.csv", runs / f"{version}.json")
+    assert sorted(p.name for p in runs.iterdir()) == [
+        f"{version}.{suffix}" for version in ("a.v1", "a.v2")
+        for suffix in ("csv", "json", "samples.csv")
+    ]
+
+
+@pytest.mark.parametrize("out", ["", ".", "/", "./"])
+def test_out_that_names_no_file_is_refused_before_any_row(tmp_path, out):
+    with pytest.raises(CpdzipError, match="out must name a file"):
+        ExperimentConfig("m.json", "spectrum", (2,), (Fraction(1, 10),), 1, 0, out)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config_doc(out=out)))
+    with pytest.raises(CpdzipError, match="malformed experiment config: out must name a file"):
+        load_experiment_config(path)
 
 
 def _config_doc(**changes) -> dict:

@@ -165,6 +165,15 @@ def test_gamma_with_a_trailing_newline_is_refused_by_schema_and_parser(tmp_path,
         assert not parser_accepts_experiment(doc, tmp_path / "cfg.json")
 
 
+@pytest.mark.parametrize("out", ["", ".", "/", "./", "a.v2", "..", "./a", "/a", ".a", "./\n"])
+def test_schema_and_parser_agree_on_which_out_names_a_file(tmp_path, out):
+    names_a_file = out not in ("", ".", "/", "./")
+    for base in EXPERIMENT_DOCS:
+        doc = dict(base, out=out)
+        assert EXPERIMENT_SCHEMA.is_valid(doc) == names_a_file
+        assert parser_accepts_experiment(doc, tmp_path / "cfg.json") == names_a_file
+
+
 def with_trailing_newline(doc, field, end):
     """A copy of ``doc`` whose first rational in ``field`` ends in ``end``."""
     doc = json.loads(json.dumps(doc))

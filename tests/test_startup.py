@@ -2,7 +2,9 @@
 
 Each command runs in a new process, so its start-up is paid on every call:
 ``import cpdzip`` loads no module of the package, and no command loads mpmath
-or a module it does not call.
+or a module it does not call.  ``experiment`` loads only its kind's code:
+``spectrum`` neither ``analysis`` nor ``codec``, ``full-rank`` and ``census``
+``analysis`` alone, ``threshold`` and ``codec-error`` ``codec`` alone.
 """
 
 import importlib
@@ -114,6 +116,32 @@ def test_count_loads_no_codec_or_experiment_code(tmp_path):
     assert "cpdzip.analysis" in loaded
     unwanted = {"mpmath", "cpdzip.codec", "cpdzip.experiments"}
     assert not loaded & unwanted, loaded & unwanted
+
+
+# The package modules that each experiment kind loads and must not load.
+KIND_MODULES = {
+    "spectrum": (set(), {"cpdzip.analysis", "cpdzip.codec"}),
+    "threshold": ({"cpdzip.codec"}, {"cpdzip.analysis"}),
+    "codec-error": ({"cpdzip.codec"}, {"cpdzip.analysis"}),
+    "full-rank": ({"cpdzip.analysis"}, {"cpdzip.codec"}),
+    "census": ({"cpdzip.analysis"}, {"cpdzip.codec"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_MODULES))
+def test_experiment_loads_only_its_kinds_code(tmp_path, kind):
+    model = tmp_path / "model.json"
+    save_model(cubic_sign_model(2, uniform(2), uniform(2)), model)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "model": str(model), "kind": kind, "n_grid": [2], "trials": 3, "seed": 1,
+        "out": str(tmp_path / "out"),
+    }))
+    loaded = loaded_by("-m", "cpdzip.cli", "experiment", "--config", str(config), cwd=tmp_path)
+    wanted, unwanted = KIND_MODULES[kind]
+    assert "cpdzip.experiments" in loaded
+    assert wanted <= loaded, wanted - loaded
+    assert not loaded & (unwanted | {"mpmath"}), loaded & (unwanted | {"mpmath"})
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
