@@ -11,12 +11,18 @@ alphabet candidate X_N in that span fixes the other modes through one linear
 solve, up to the column scalings of rank-one factors, which are enumerated;
 a supersymmetric model keeps the tuples whose matrices are all equal.  The
 set equals the brute-force one (a differential test checks it), at a cost
-polynomial in n instead of |A|^(nRN).
+polynomial in n instead of |A|^(nRN).  Every solve is R x R: the span
+coefficients come from R independent columns of R pivot rows, and each
+candidate from its R values on those rows.  What grows with n is one read
+of the unfolding, an elimination that stops at rank R, and passes over the
+rows those solves return.
 
 The relations between tuples and the uniqueness bound are checked in the
 scalars the factor matrices hold.  Column ratios are compared by
 cross-multiplication and multiplied as (numerator, denominator) pairs; a
 Fraction is built only for a lambda a relation reports, once per value.
+The tuples share their mode matrices, and each one is matched against the
+reference once per census.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import permutations, product
 from operator import mul
 
 from .model import (
@@ -259,6 +265,8 @@ def _lambda(pair: tuple[Scalar, Scalar], fractions: dict) -> Fraction:
     ``fractions`` maps each pair seen to its Fraction, and each reduced int
     pair (num, den > 0) to the one Fraction built for that value.  A raw
     pair equal to a reduced one has the same value, so one dict holds both.
+    ``_perm_scaling`` also keys it by a mode's tuple of pairs, which never
+    equals a pair of scalars.
     """
     lam = fractions.get(pair)
     if lam is None:
@@ -279,48 +287,80 @@ def find_perm_scaling(ref: FactorTuple, other: FactorTuple) -> PermScalingRelati
     that differ in order, n or R raise ShapeError.
     """
     _check_same_shape(ref, other)
-    return _perm_scaling([x.columns() for x in ref.matrices], {}, other)
+    return _perm_scaling([x.columns() for x in ref.matrices], {}, {}, other)
 
 
-def _perm_scaling(ref_cols, fractions: dict, other: FactorTuple) -> PermScalingRelation | None:
+def _column_pairs(ref_cols, rows, permutation) -> tuple | None:
+    """The ratio pair of each column of ``rows`` against the reference column
+    that ``permutation`` gives it, or None if some column is not proportional
+    to that one."""
+    pairs = tuple(map(_ratio_pair, map(ref_cols.__getitem__, permutation), zip(*rows)))
+    return None if None in pairs else pairs
+
+
+def _first_match(ref_cols, rows) -> tuple | None:
+    """(permutation, ratio pairs) that send each column of ``rows`` to the
+    first reference column proportional to it, or None if a column has none
+    or two columns share one."""
+    permutation, pairs = [], []
+    for col in zip(*rows):
+        for ref_c, ref_col in enumerate(ref_cols):
+            pair = _ratio_pair(ref_col, col)
+            if pair is not None:
+                permutation.append(ref_c)
+                pairs.append(pair)
+                break
+        else:
+            return None
+    if len(set(permutation)) != len(ref_cols):
+        return None
+    return tuple(permutation), tuple(pairs)
+
+
+def _perm_scaling(
+    ref_cols, fractions: dict, matches: dict, other: FactorTuple
+) -> PermScalingRelation | None:
     """``find_perm_scaling`` against a reference given by its columns per mode.
 
     Every check runs in the scalars the columns hold: each column pair
     yields a ratio pair (b0, a0) whose other entries are compared by
     cross-multiplication, and a column's product-1 check over the modes is
     prod b0 == prod a0, exact as every a0 is nonzero.  Only the lambdas of
-    a relation found become Fractions, one per value through ``fractions``,
-    which the caller keeps across calls against the same reference.
+    a relation found become Fractions, one per value through ``fractions``.
+
+    Mode 1 fixes the permutation, and each other mode is matched under it.
+    ``matches`` holds each match, keyed by the mode matrix's rows (and the
+    permutation), so a matrix shared by many tuples is matched once.  The
+    caller keeps both dicts across calls against the same reference.
     """
-    r_count = len(ref_cols[0])
-    other_cols = [list(zip(*x.rows)) for x in other.matrices]
-    permutation = []
-    first = []
-    for col in other_cols[0]:
-        for ref_c, ref_col in enumerate(ref_cols[0]):
-            pair = _ratio_pair(ref_col, col)
-            if pair is not None:
-                permutation.append(ref_c)
-                first.append(pair)
-                break
-        else:
-            return None
-    if len(set(permutation)) != r_count:
+    first, *rest = other.matrices
+    key = (0, first.rows)
+    if key not in matches:
+        matches[key] = _first_match(ref_cols[0], first.rows)
+    found = matches[key]
+    if found is None:
         return None
-    pairs = [first]
-    for ref_i, other_i in zip(ref_cols[1:], other_cols[1:]):
-        mode = []
-        for ref_c, col in zip(permutation, other_i):
-            pair = _ratio_pair(ref_i[ref_c], col)
-            if pair is None:
-                return None
-            mode.append(pair)
-        pairs.append(mode)
-    for column in zip(*pairs):
-        if math.prod(b for b, _ in column) != math.prod(a for _, a in column):
+    permutation, pairs = found
+    modes = [pairs]
+    for mode, x in enumerate(rest, 1):
+        key = (mode, x.rows, permutation)
+        if key not in matches:
+            matches[key] = _column_pairs(ref_cols[mode], x.rows, permutation)
+        pairs = matches[key]
+        if pairs is None:
             return None
-    lambdas = tuple(tuple(_lambda(p, fractions) for p in mode) for mode in pairs)
-    return PermScalingRelation(other, tuple(permutation), lambdas)
+        modes.append(pairs)
+    for column in zip(*modes):
+        nums, dens = zip(*column)
+        if math.prod(nums) != math.prod(dens):
+            return None
+    lambdas = []
+    for pairs in modes:  # a mode's pairs recur in many relations
+        lams = fractions.get(pairs)
+        if lams is None:
+            lams = fractions[pairs] = tuple(_lambda(p, fractions) for p in pairs)
+        lambdas.append(lams)
+    return PermScalingRelation(other, permutation, tuple(lambdas))
 
 
 def find_w_relation(ref: FactorTuple, other: FactorTuple) -> WRelation | None:
@@ -345,11 +385,11 @@ def find_w_relation(ref: FactorTuple, other: FactorTuple) -> WRelation | None:
 def _relation_to(ref: FactorTuple):
     """The relation test of other tuples against ``ref``, which reads the
     reference's columns once: P-Lambda at order >= 3, W at order 2.  The
-    P-Lambda test owns the dict that builds each lambda value's Fraction
-    once over all its calls."""
+    P-Lambda test owns the dicts that, over all its calls, build each lambda
+    value's Fraction once and match each mode matrix's columns once."""
     if ref.order < 3:
         return partial(find_w_relation, ref)
-    return partial(_perm_scaling, [x.columns() for x in ref.matrices], {})
+    return partial(_perm_scaling, [x.columns() for x in ref.matrices], {}, {})
 
 
 def _equivalence_classes(tuples: list[FactorTuple]) -> tuple[tuple[int, ...], ...]:
@@ -365,8 +405,9 @@ def _equivalence_classes(tuples: list[FactorTuple]) -> tuple[tuple[int, ...], ..
 
 
 def _tuple_sort_key(ft: FactorTuple):
-    # ints and Fractions compare by value, so the raw scalars order exactly
-    return tuple(v for x in ft.matrices for row in x.rows for v in row)
+    # ints and Fractions compare by value, so the raw scalars order exactly;
+    # tuples of one shape compare as their flattened entries do
+    return tuple(x.rows for x in ft.matrices)
 
 
 def _symbol_lookup(alphabet: Alphabet) -> dict[Scalar, Scalar]:
@@ -401,9 +442,13 @@ def _span_vectors(u, u_p, alphabet: Alphabet) -> list[tuple[tuple, tuple]]:
     The rows of U are combinations of its pivot rows, U = C U_P, and C is the
     identity on the pivot rows.  So span(U) = {C y}, and C y takes the values
     y on the pivot rows: the |A|^k choices of y (k = rank U) replace a rank
-    test of each of the |A|^n alphabet vectors.
+    test of each of the |A|^n alphabet vectors.  C is unique, as U_P has
+    independent rows, so it solves C U_P[:, J] = U[:, J] for any k
+    independent columns J of U_P: a k x k system, the same C whatever J.
     """
-    c = transpose(solve_exact(transpose(u_p), transpose(u)))
+    cols = pivot_rows(transpose(u_p))
+    core = [[row[j] for row in u_p] for j in cols]
+    c = transpose(solve_exact(core, [[row[j] for row in u] for j in cols]))
     symbols = _symbol_lookup(alphabet)
     out = []
     for y in product(alphabet.symbols, repeat=len(u_p)):
@@ -463,15 +508,20 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     than R therefore means no full-rank tuple exists.
 
     Otherwise every candidate X_N is an R-tuple of alphabet vectors in
-    span(U), X_N = C Y with Y their values on R pivot rows of U.  Then
+    span(U), X_N = C Y with Y their values on R pivot rows P of U.  C is the
+    one matrix with U = C U_P, as U_P has independent rows, so for any R
+    independent columns J of U_P the R x R solve C U_P[:, J] = U[:, J] gives
+    it.  The span vectors are span(U)'s alphabet vectors whichever P and J
+    the eliminations pick; only their labels y change.  Then
     X_N K^T = U = C U_P holds exactly when K^T = Y^-1 U_P (C has full column
     rank), so one R x R solve fixes K, and a singular Y rules the candidate
-    out (rank X_N = rank Y).  Row r of K^T is the outer product of the r-th
-    columns of modes N-1..1; each distinct row is factored once, over every
-    alphabet-valued scaling.  Every combination of row factorizations whose
-    matrices all have full rank is a tuple composing to T, and every
-    full-rank tuple arises this way from its own X_N, so the set equals brute
-    force's full-rank set.  A supersymmetric model's tuples replicate one
+    out (rank X_N = rank Y).  A repeated vector makes Y singular, so the
+    candidates are the R-permutations of the span vectors.  Row r of K^T is
+    the outer product of the r-th columns of modes N-1..1; each distinct row
+    is factored once, over every alphabet-valued scaling.  Every combination
+    of row factorizations whose matrices all have full rank is a tuple
+    composing to T, and every full-rank tuple arises this way from its own
+    X_N, so the set equals brute force's full-rank set.  A supersymmetric model's tuples replicate one
     matrix, so its full-rank set is the members whose N matrices are equal:
     the candidates X_N whose K^T has the rows x_r^(N-1), each kept as X_N
     replicated, with no row factored.  X_N has rank R, as Y is invertible.
@@ -491,7 +541,7 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     shared: dict[tuple, FactorMatrix] = {}
     has_full_rank = cache(lambda rows: rank_exact(rows) == r)  # each matrix ranked once a call
     result = []
-    for cols in product(vectors, repeat=r):
+    for cols in permutations(vectors, r):
         k_t = solve_exact([[y[p] for _, y in cols] for p in range(r)], u_p)
         if k_t is None:
             continue

@@ -175,7 +175,7 @@ def _cmd_experiment(args) -> int:
     from .experiments import load_experiment_config, run_experiment
 
     cfg = load_experiment_config(args.config)
-    if args.out:
+    if args.out is not None:  # an --out that names no file is refused, as in the config
         from dataclasses import replace
 
         cfg = replace(cfg, out=args.out)

@@ -64,21 +64,23 @@ class ExperimentConfig:
     emit_samples: bool = False
 
     def __post_init__(self):
+        # Each refusal is a ValueError, which ``load_experiment_config``
+        # reports as a malformed config.
         if self.kind not in KINDS:
-            raise CpdzipError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
+            raise DocumentError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if not self.n_grid:
-            raise CpdzipError("n_grid must be non-empty")
+            raise DocumentError("n_grid must be non-empty")
         if not self.gamma_grid:
-            raise CpdzipError("gamma_grid must be non-empty")
+            raise DocumentError("gamma_grid must be non-empty")
         if min(self.gamma_grid) <= 0:  # even for the kinds that never read gamma
             least = rational_str(min(self.gamma_grid))
             raise TypicalityParamsError(f"gamma_grid entries must be positive, got {least}")
         if self.trials < 1:
-            raise CpdzipError("trials must be >= 1")
+            raise DocumentError("trials must be >= 1")
         if min(self.n_grid) < 1:
-            raise CpdzipError("n_grid entries must be >= 1")
+            raise DocumentError("n_grid entries must be >= 1")
         if self.budget < 1:
-            raise CpdzipError("budget must be >= 1")
+            raise DocumentError("budget must be >= 1")
         if all(part in ("", ".") for part in self.out.split("/")):
             raise DocumentError(f"out must name a file, got {self.out!r}")
 

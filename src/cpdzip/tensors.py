@@ -315,23 +315,15 @@ def unfold(t: ExactTensor, mode: int) -> list[list[Scalar]]:
     if not 1 <= mode <= t.order:
         raise ShapeError(f"mode {mode} out of range for order {t.order}")
     n, order = t.dim, t.order
-    rest = [j for j in range(1, order + 1) if j != mode]
-    # flat strides: index i_j contributes i_j * n^(order - j)
-    strides = {j: n ** (order - j) for j in range(1, order + 1)}
-    cols = n ** (order - 1)
-    out = []
-    for i in range(n):
-        base = i * strides[mode]
-        row = []
-        for col in range(cols):
-            flat = base
-            rem = col
-            for j in rest:  # rest ascending; first remaining mode varies fastest
-                flat += (rem % n) * strides[j]
-                rem //= n
-            row.append(t.entries[flat])
-        out.append(row)
-    return out
+    # flat offset of each column: index i_j contributes i_j * n^(order - j),
+    # and each later remaining mode varies slower than the ones before it
+    offsets = [0]
+    for j in range(1, order + 1):
+        if j != mode:
+            stride = n ** (order - j)
+            offsets = [o + d * stride for d in range(n) for o in offsets]
+    entries, row_stride = t.entries, n ** (order - mode)
+    return [[entries[base + o] for o in offsets] for base in map(row_stride.__mul__, range(n))]
 
 
 def khatri_rao(a: Matrix, b: Matrix) -> list[list[Scalar]]:
@@ -373,11 +365,12 @@ def _integer_rows(m: Matrix) -> list[list[int]]:
     """Fresh int rows, each one scaled by the lcm of its denominators.
 
     Scaling a row by a nonzero constant keeps both the rank of a matrix and
-    the solutions of a linear system.
+    the solutions of a linear system.  An all-int row is found and copied by
+    C-level passes.
     """
     out = []
     for row in m:
-        if all(type(v) is int for v in row):
+        if set(map(type, row)) <= {int}:
             out.append(list(row))
             continue
         lcm = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
@@ -400,10 +393,14 @@ def _bareiss_row(row: list[int], top: list[int], col: int, prev: int) -> list[in
 def pivot_rows(m: Matrix) -> list[int]:
     """Ascending indices of a maximal linearly independent set of rows.
 
-    Fraction-free (Bareiss) elimination with row pivoting.  Each eliminated
-    pivot row is a nonzero multiple of its original row plus a combination of
-    earlier pivot rows, so the original rows at the pivot positions span the
-    row space; their number is the rank.
+    Fraction-free (Bareiss 1968) elimination with row pivoting.  Each
+    eliminated pivot row is a nonzero multiple of its original row plus a
+    combination of earlier pivot rows, so the original rows at the pivot
+    positions span the row space; their number is the rank.
+
+    Elimination stops at the rank: once every row below the pivots is zero
+    no later column holds a pivot, and the last column's pivot leaves no
+    column to eliminate.  The pivots chosen are those of the full sweep.
     """
     rows = _integer_rows(m)
     if not rows or not rows[0]:
@@ -419,12 +416,13 @@ def pivot_rows(m: Matrix) -> list[int]:
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         order[rank], order[pivot_row] = order[pivot_row], order[rank]
         top = rows[rank]
-        for i in range(rank + 1, n_rows):
-            rows[i] = _bareiss_row(rows[i], top, col, prev)
-        prev = top[col]
         rank += 1
-        if rank == n_rows:
+        if col == n_cols - 1:
             break
+        rows[rank:] = [_bareiss_row(row, top, col, prev) for row in rows[rank:]]
+        if not any(map(any, rows[rank:])):
+            break
+        prev = top[col]
     return sorted(order[:rank])
 
 

@@ -46,11 +46,15 @@ from cpdzip.tensors import (
     FactorTuple,
     ShapeError,
     cpd_compose,
+    pivot_rows,
     rank_exact,
     replicate,
+    unfold,
     zero_tensor,
 )
 from cpdzip.typicality import space_table
+
+import linalg_oracle
 
 U2 = uniform(2)
 
@@ -525,6 +529,48 @@ def test_census_cost_is_polynomial_in_n(monkeypatch):
         assert 0 < len(calls) <= 64 * n
 
 
+def test_every_census_solve_is_r_by_r(monkeypatch):
+    # The span coefficients come from an R x R core of the pivot rows, not
+    # from the n^(N-1) x (R + n) system, and each candidate's solve has R rows.
+    calls = count_calls(monkeypatch, "solve_exact")
+    n = 16
+    for m in (generic_sign_model(n), cubic_sign_model(n, U2, U2)):
+        calls.clear()
+        cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
+        assert cert.certified
+        assert calls and all(len(a) == len(b) == 2 for _, (a, b) in calls)
+    t = cpd_compose(full_rank_sample(generic_sign_model(n), 101, 1))
+    u = unfold(t, 3)
+    calls.clear()
+    analysis._span_vectors(u, [u[p] for p in pivot_rows(u)], Alphabet((-1, 1)))
+    assert [(len(a), len(b)) for _, (a, b) in calls] == [(2, 2)]
+
+
+@given(cogenerator_instances())
+@settings(max_examples=150, deadline=None)
+def test_span_vectors_equal_the_full_solve(instance):
+    m, t = instance
+    for mode in range(1, m.order + 1):
+        u = unfold(t, mode)
+        u_p = [u[p] for p in pivot_rows(u)]
+        if not u_p:
+            continue
+        alphabet = m.alphabet(mode)
+        assert analysis._span_vectors(u, u_p, alphabet) == linalg_oracle.span_vectors(
+            u, u_p, alphabet
+        )
+
+
+def test_census_certifies_sampled_tensors_at_n_32():
+    # Five sampled full-rank R = 2 sign tensors at n = 32: each one's
+    # full-rank generators are exactly its orbit of 2! * 2^4 tuples.
+    m = generic_sign_model(32)
+    for trial in range(5):
+        cert = uniqueness_census(cpd_compose(full_rank_sample(m, 131, trial)), m)
+        assert cert.certified
+        assert cert.full_rank_count == cert.bound == 32
+
+
 def test_census_ranks_each_recovered_matrix_once(monkeypatch):
     # Candidates share their leading matrices; each is ranked once per census.
     calls = count_calls(monkeypatch, "rank_exact")
@@ -801,6 +847,20 @@ def test_perm_scaling_equals_the_fraction_check(instance):
                 assert rel.permutation == expected.permutation
                 assert rel.lambdas == expected.lambdas
                 assert all(type(lam) is Fraction for lams in rel.lambdas for lam in lams)
+
+
+def test_relation_test_matches_a_shared_matrix_again_under_another_permutation():
+    # The tuples share their mode-2 and mode-3 matrices, but their mode-1
+    # columns come in opposite orders, so the shared matrices must be matched
+    # again under the second permutation, where they fail.
+    a = ((1, 1), (1, -1), (-1, 1))
+    b = ((1, -1), (1, 1), (-1, -1))
+    ref = FactorTuple((FactorMatrix(1, a), FactorMatrix(2, b), FactorMatrix(3, a)))
+    swapped = FactorTuple((FactorMatrix(1, tuple((y, x) for x, y in a)),) + ref.matrices[1:])
+    relate = analysis._relation_to(ref)
+    assert relate(ref).permutation == (0, 1)
+    assert find_perm_scaling(ref, swapped) is None
+    assert relate(swapped) is None
 
 
 # --- verify-examples ------------------------------------------------------------------

@@ -189,6 +189,55 @@ def test_experiment_runs_and_is_deterministic(model_file, tmp_path, capsys):
     assert csv_path.read_bytes() == first
 
 
+def _experiment_config(model_file, tmp_path, **changes) -> Path:
+    cfg = {
+        "model": str(model_file),
+        "kind": "threshold",
+        "n_grid": [2],
+        "seed": 21,
+        "out": str(tmp_path / "results" / "thr"),
+        **changes,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"kind": "nope"}, "unknown experiment kind 'nope'; expected one of "),
+        ({"n_grid": []}, "n_grid must be non-empty"),
+        ({"gamma_grid": []}, "gamma_grid must be non-empty"),
+        ({"gamma_grid": ["0"]}, "gamma_grid entries must be positive, got 0"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"n_grid": [2, 0]}, "n_grid entries must be >= 1"),
+        ({"budget": 0}, "budget must be >= 1"),
+        ({"out": "."}, "out must name a file, got '.'"),
+    ],
+    ids=["kind", "n_grid", "gamma_grid", "gamma", "trials", "n_entry", "budget", "out"],
+)
+def test_every_config_refusal_prints_one_malformed_config_prefix(
+    model_file, tmp_path, capsys, changes, message
+):
+    path = _experiment_config(model_file, tmp_path, **changes)
+    assert main(["experiment", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed experiment config: {message}")
+    assert captured.err.count("malformed experiment config") == 1
+    assert not (tmp_path / "results").exists()
+
+
+def test_experiment_refuses_an_empty_out_override(model_file, tmp_path, capsys):
+    path = _experiment_config(model_file, tmp_path)
+    assert main(["experiment", "--config", str(path), "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out must name a file, got ''\n"
+    assert not (tmp_path / "results").exists()
+
+
 def test_missing_model_file_is_reported(tmp_path, capsys):
     assert main(["validate", "--model", str(tmp_path / "nope.json")]) != 0
 

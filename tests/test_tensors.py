@@ -34,6 +34,8 @@ from cpdzip.tensors import (
 )
 from cpdzip.model import CpdzipError
 
+import linalg_oracle
+
 
 def frac_matrix(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
@@ -529,6 +531,74 @@ def test_int_linear_algebra_builds_no_fraction(monkeypatch):
     assert built == []
     assert solve_exact([[2]], [[1]]) == [[Fraction(1, 2)]]
     assert built == [(1, 2)]
+
+
+# --- differential: the reference copies in linalg_oracle ------------------------------
+
+
+def exact_entries(draw):
+    """Ints, Fractions (integral ones kept as Fractions), or a mix of both."""
+    fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    return draw(st.sampled_from([st.integers(-9, 9), fractions, st.integers(-3, 3) | fractions]))
+
+
+@st.composite
+def exact_tensors(draw):
+    order, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    entry = exact_entries(draw)
+    return ExactTensor(order, n, tuple(draw(st.lists(entry, min_size=n**order, max_size=n**order))))
+
+
+@given(exact_tensors())
+@settings(max_examples=200, deadline=None)
+def test_unfold_equals_the_per_entry_decode(t):
+    for mode in range(1, t.order + 1):
+        got, expected = unfold(t, mode), linalg_oracle.unfold(t, mode)
+        assert got == expected
+        assert entry_types(got) == entry_types(expected)
+
+
+@st.composite
+def exact_matrices(draw):
+    """A tall, square or wide matrix of int and Fraction entries: drawn entry
+    by entry, or a product through fewer columns than either side has, so of
+    deficient rank."""
+    entry = exact_entries(draw)
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    if not draw(st.booleans()):
+        return matrix(n_rows, n_cols)
+    k = draw(st.integers(0, min(n_rows, n_cols) - 1))
+    if k == 0:
+        return [[0] * n_cols for _ in range(n_rows)]
+    return mat_mul(matrix(n_rows, k), matrix(k, n_cols))
+
+
+@given(exact_matrices())
+@settings(max_examples=300, deadline=None)
+def test_pivot_rows_and_rank_equal_the_full_elimination(m):
+    for matrix in (m, transpose(m)):
+        assert pivot_rows(matrix) == linalg_oracle.pivot_rows(matrix)
+        assert rank_exact(matrix) == linalg_oracle.rank_exact(matrix)
+
+
+@given(exact_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_exact_equals_the_reference(a, data):
+    n_rows, n_cols = len(a), len(a[0])
+    width = data.draw(st.integers(1, 3))
+    entry = st.integers(-4, 4)
+    x = [[data.draw(entry) for _ in range(width)] for _ in range(n_cols)]
+    b = mat_mul(a, x) if data.draw(st.booleans()) else [
+        [data.draw(entry) for _ in range(width)] for _ in range(n_rows)
+    ]
+    got = solve_exact(a, b)
+    expected = linalg_oracle.solve_exact(a, b)
+    assert got == expected
+    assert entry_types(got) == entry_types(expected)
 
 
 # --- serialization -------------------------------------------------------------------
