@@ -33,7 +33,7 @@ from .tensors import (
 
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -59,7 +59,8 @@ def _cmd_sample(args) -> int:
     table = DrawTable(m)
     # _emit's text of {"seed": ..., "tuples": [...]}, one tuple at a time so that
     # memory stays flat in --count; a tuple sits two levels deep (four spaces).
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+    sink = open(args.out, "w", encoding="utf-8") if args.out is not None else nullcontext(sys.stdout)
+    with sink as fh:
         fh.write(f'{{\n  "seed": {json.dumps(args.seed)},\n  "tuples": [')
         for t in range(args.count):
             ft = draw_tuple(table, stream_rng(args.seed, t))
@@ -263,6 +264,8 @@ def main(argv=None) -> int:
     if getattr(args, "out_required", False) and not args.out:
         parser.error(f"{args.command} requires --out")
     try:
+        if getattr(args, "out", None) == "":  # refused on every command, before any work
+            raise CpdzipError("out must name a file, got ''")
         return args.func(args)
     except (CpdzipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

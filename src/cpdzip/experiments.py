@@ -267,6 +267,16 @@ def _rows_codec_error(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples)
     return rows
 
 
+def _pvariance(xs: list[float], mu: float) -> float:
+    """``statistics.pvariance(xs, mu=mu)`` on ints: each float square
+    (x - mu)**2 is an integer ratio over a power of two, so the largest
+    denominator is their lcm; the exact sum over ``len(xs)`` is rounded once,
+    correctly, by int true division."""
+    ratios = [((d := x - mu) * d).as_integer_ratio() for x in xs]
+    den = max(q for _, q in ratios)
+    return sum(p * (den // q) for p, q in ratios) / (den * len(xs))
+
+
 def _rows_spectrum(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
     """Spectrum rows; each n's samples are stored in ``samples``."""
     rows = []
@@ -274,7 +284,7 @@ def _rows_spectrum(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) ->
         m = base.with_dim(n)
         samples[n] = spectrum_samples(m, cfg.trials, cfg.seed)
         mean = statistics.fmean(samples[n])
-        var = statistics.pvariance(samples[n], mu=mean)
+        var = _pvariance(samples[n], mean)
         rows.append(_row(cfg, n, "spectrum_mean", estimate=mean, bound=theoretical_threshold(m),
                          stderr=math.sqrt(var / cfg.trials), trials=cfg.trials))
         rows.append(_row(cfg, n, "spectrum_var", estimate=var,

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import DocumentError, json_field
@@ -209,21 +210,35 @@ def intern_tensors(
     slabs P(w * X_k[i, :]; k+1), and P(w; N) is an n-entry block.  Each
     level's slabs are interned (``_slab_bytes``), so bytes are packed once
     per distinct block and joined once per distinct slab, and a tuple's key
-    joins just its n top-level slabs.  Supersymmetric tuples share no prefix,
-    so each is expanded directly and packed.
+    joins just its n top-level slabs.
+
+    A supersymmetric tensor is the sum of its columns' N-fold outer powers,
+    sum_r x_r (x) ... (x) x_r, so it depends only on the multiset of the
+    matrix's columns.  Each distinct column's power is computed once, each
+    distinct multiset (the sorted column tuple) has its powers summed and
+    packed once, and every matrix with that multiset takes its id.  Ids are
+    interned on the packed bytes, since two multisets can give one tensor
+    (x and -x cancel at odd N).
     """
     tuple_ids: list[int] = []
     key_to_id: dict[bytes, int] = {}
     intern = key_to_id.setdefault
     if len(mode_matrices) == 1:
+        powers: dict[tuple, Sequence[Scalar]] = {}
+        multiset_ids: dict[tuple, int] = {}
         for x in mode_matrices[0]:
-            acc = None
-            for col in x.columns():
-                term = col
-                for _ in range(order - 1):
-                    term = [a * b for a in term for b in col]
-                acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-            tuple_ids.append(intern(pack_scalars(acc), len(key_to_id)))
+            cols = tuple(sorted(zip(*x.rows)))
+            tid = multiset_ids.get(cols)
+            if tid is None:
+                for col in cols:
+                    if col not in powers:
+                        term = col
+                        for _ in range(order - 1):
+                            term = [a * b for a in term for b in col]
+                        powers[col] = term
+                entries = reduce(partial(map, add), map(powers.__getitem__, cols))
+                tid = multiset_ids[cols] = intern(pack_scalars(entries), len(key_to_id))
+            tuple_ids.append(tid)
         return tuple_ids, key_to_id
     if not all(mode_matrices):
         return tuple_ids, key_to_id

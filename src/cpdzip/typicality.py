@@ -293,8 +293,23 @@ class SpaceTable:
         return product(*self.spaces)
 
     def tuples_with_id(self, tid: int | None) -> Iterator[tuple[FactorMatrix, ...]]:
-        """The matrices of every tuple whose tensor id is ``tid``, in order."""
-        return compress(self.tuples(), (t == tid for t in self.tuple_ids))
+        """The matrices of every tuple whose tensor id is ``tid``, in order.
+
+        The matching positions are found by ``list.index`` and only those are
+        unranked, last mode fastest, into their matrices.
+        """
+        find, spaces = self.tuple_ids.index, self.spaces[::-1]
+        pos = -1
+        while True:
+            try:
+                pos = find(tid, pos + 1)
+            except ValueError:
+                return
+            picks, rest = [], pos
+            for mats in spaces:
+                rest, i = divmod(rest, len(mats))
+                picks.append(mats[i])
+            yield tuple(picks[::-1])
 
     def typical_ids(self, enums: tuple[TypicalEnumeration, ...]) -> Iterator[int]:
         """The tensor id of every typical tuple, in codebook-index order, for

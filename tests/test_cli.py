@@ -238,6 +238,30 @@ def test_experiment_refuses_an_empty_out_override(model_file, tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "decode", "codebook", "count", "krank"])
+def test_every_command_refuses_an_empty_out(command, model_file, cubic_file, tmp_path, capsys):
+    # Each command runs as given; with --out "" it is refused and prints nothing.
+    tensor_path = tmp_path / "zero.json"
+    tensor_path.write_text(json.dumps(tensor_to_dict(zero_tensor(3, 2))))
+    code_path = tmp_path / "zero.tcpd"
+    assert main(_encode_args(model_file, tensor_path, code_path)) == 0
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps(matrix_to_dict(FactorMatrix(1, ((1, 0), (0, 1))))))
+    argv = {
+        "sample": ["sample", "--model", str(model_file), "--seed", "1"],
+        "decode": ["decode", "--model", str(model_file), "--input", str(code_path)],
+        "codebook": ["codebook", "--model", str(model_file), "--gamma", "1/10"],
+        "count": ["count", "--model", str(cubic_file), "--tensor", str(tensor_path)],
+        "krank": ["krank", "--input", str(matrix_path)],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out must name a file, got ''\n"
+
+
 def test_missing_model_file_is_reported(tmp_path, capsys):
     assert main(["validate", "--model", str(tmp_path / "nope.json")]) != 0
 

@@ -1,10 +1,13 @@
 import importlib.util
 import json
 import math
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpdzip.analysis import (
     UnsupportedModelError,
@@ -16,6 +19,7 @@ from cpdzip.analysis import (
 from cpdzip.experiments import (
     CSV_HEADER,
     ExperimentConfig,
+    _pvariance,
     estimate_full_rank_prob,
     load_experiment_config,
     run_experiment,
@@ -256,6 +260,25 @@ def test_run_experiment_spectrum_rows(tmp_path):
     samples = Path(str(csv_path)[: -len(".csv")] + ".samples.csv")
     assert samples.exists()
     assert samples.read_text().splitlines()[0] == "n,trial,value"
+
+
+SIGNED_MAGNITUDES = st.builds(
+    lambda sign, x: sign * x, st.sampled_from((-1.0, 1.0)), st.floats(1e-5, 1e5)
+)
+
+
+@given(st.lists(SIGNED_MAGNITUDES, min_size=1, max_size=40))
+@example([2.0794415416798357])
+@example([1e-5])
+@example([0.1, 0.1, 0.1])
+@settings(max_examples=300, deadline=None)
+def test_exact_pvariance_equals_statistics_pvariance(xs):
+    # The spectrum rows' variance must stay bit-identical to the statistics
+    # module's, which sums the float squares exactly and rounds once.
+    mean = statistics.fmean(xs)
+    var = _pvariance(xs, mean)
+    assert type(var) is float
+    assert var == statistics.pvariance(xs, mu=mean)
 
 
 def test_run_experiment_codec_error_rows(tmp_path):

@@ -9,7 +9,7 @@ plain ``Fraction`` sum over the full tuple space.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from operator import mul
 
 import pytest
@@ -179,6 +179,72 @@ def test_cold_table_packs_each_distinct_last_mode_block_once(monkeypatch):
     }
     assert (len(table.tuple_ids), len(table.id_keys), len(blocks)) == (32768, 8192, 32)
     assert 0 < len(packed) <= len(blocks)
+
+
+@st.composite
+def supersymmetric_lists(draw):
+    """An order of 2-4 and a list of n x R matrices (R 1-3, zero and 1/2
+    allowed): a canonical space shuffled, or a sub-sample with repeats."""
+    order = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 3))
+    alphabet = Alphabet(tuple(sorted(draw(st.sets(st.sampled_from(SWEEP_SYMBOLS), min_size=2,
+                                                  max_size=3)))))
+    n = draw(st.integers(1, max(k for k in range(1, 4) if alphabet.size ** (k * r) <= 729)))
+    m = ModelSpec(order, n, r, (alphabet,) * order, ((uniform(alphabet.size),) * r,) * order,
+                  supersymmetric=True)
+    space = list(iter_mode_matrices(m, 1))
+    picks = draw(st.one_of(
+        st.permutations(range(len(space))),
+        st.lists(st.integers(0, len(space) - 1), max_size=60),
+    ))
+    return order, [space[i] for i in picks]
+
+
+@given(supersymmetric_lists())
+@settings(max_examples=80, deadline=None)
+def test_supersymmetric_ids_equal_the_partition_of_packed_compositions(instance):
+    # Any matrix list, not only a canonical space: the multiset memo must not
+    # lean on the list's order or on each matrix occurring once.
+    order, mats = instance
+    tuple_ids, key_to_id = tensors.intern_tensors([mats], order)
+    first: dict[bytes, int] = {}
+    packed = [pack_scalars(compose_entries(tensors.replicate(x, order))) for x in mats]
+    for key in packed:
+        first.setdefault(key, len(first))
+    assert tuple_ids == [first[key] for key in packed]
+    assert list(key_to_id.items()) == list(first.items())
+
+
+def test_cubic_table_packs_each_column_multiset_once(monkeypatch):
+    packed = []
+
+    def counted(values, _pack=pack_scalars):
+        packed.append(values)
+        return _pack(values)
+
+    monkeypatch.setattr(tensors, "pack_scalars", counted)
+    mats = list(iter_mode_matrices(cubic_sign_model(5, U2, U2), 1))
+    tuple_ids, key_to_id = tensors.intern_tensors([mats], 3)
+    multisets = {tuple(sorted(x.columns())) for x in mats}
+    assert (len(mats), len(multisets), len(key_to_id)) == (1024, 528, 513)
+    assert len(set(tuple_ids)) == 513
+    assert 0 < len(packed) <= len(multisets)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_tuples_with_id_equal_the_filtered_product(name):
+    m = MODELS[name]
+    spaces = mode_matrices(m)
+    # a matrix of 3s last in every mode gives the last tuple a tensor no other
+    # tuple has
+    for mats in spaces:
+        mats.append(FactorMatrix(mats[0].mode, ((3,) * m.components,) * m.dim))
+    table = intern_space(spaces, m.order)
+    assert table.tuple_ids.count(table.tuple_ids[-1]) == 1
+    for tid in [None, *range(len(table.id_keys))]:
+        expected = list(compress(product(*spaces), (t == tid for t in table.tuple_ids)))
+        assert list(table.tuples_with_id(tid)) == expected
+    assert list(table.tuples_with_id(table.tuple_ids[-1])) == [tuple(s[-1] for s in spaces)]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
