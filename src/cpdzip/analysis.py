@@ -156,11 +156,12 @@ def _count_in(
     reps: list[FactorTuple] = []
     full_rank_tuples: list[FactorTuple] = []
     r = m.components
+    has_full_rank = cache(lambda rows: rank_exact(rows) == r)  # each matrix ranked once a call
 
     for mats in space.tuples_with_id(target):
         total += 1
         ft = FactorTuple(expand_modes(m, mats))
-        is_full = all(rank_exact(x.rows) == r for x in ft.matrices)
+        is_full = all(has_full_rank(x.rows) for x in ft.matrices)
         if is_full:
             full_rank += 1
             full_rank_tuples.append(ft)
@@ -739,10 +740,11 @@ def brute_force_zero_prob(m: ModelSpec, budget: int = DEFAULT_BUDGET) -> Fractio
 
 def _zero_prob(space: SpaceTable, m: ModelSpec) -> Fraction:
     """``brute_force_zero_prob`` over ``space``, a table of ``m``'s tuple space;
-    it may have been built for a model that differs only in distributions."""
-    totals, denominator = space.probabilities(m)
+    it may have been built for a model that differs only in distributions.
+    Only the tuples that compose to zero are weighed."""
     zero = space.key_to_id.get(zero_tensor(m.order, m.dim).key())
-    return Fraction(0 if zero is None else totals[zero], denominator)
+    tuples = space.tuples_with_id(zero)
+    return sum((math.prod(matrix_probability(x, m) for x in mats) for mats in tuples), Fraction(0))
 
 
 # --- full-rank probability bounds -------------------------------------------------
@@ -846,6 +848,11 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
     gives 2^n, a mixed pattern gives 2, no zero sums gives 1."""
     u2 = uniform(2)
     space = space_table(cubic_sign_model(n, u2, u2), budget, "order-3 full census")
+    return _classify_cubic(space, n)
+
+
+def _classify_cubic(space: SpaceTable, n: int) -> list[CheckRow]:
+    """``cubic_census_classification`` over ``space``, the cubic n table its caller built."""
     groups: dict[int, list[FactorMatrix]] = {}
     for (x,), tid in zip(space.tuples(), space.tuple_ids):
         groups.setdefault(tid, []).append(x)
@@ -880,14 +887,18 @@ def cubic_census_classification(n: int, budget: int = DEFAULT_BUDGET) -> list[Ch
 def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[CheckRow]:
     """Reproduce every documented counting and probability identity exactly.
 
-    Each space table is built once, under ``budget``, and read by every check
-    on its space: the zero-tensor count and the trichotomy of one cubic n, the
-    three banded counts, and the uniform and skewed zero probabilities of one
-    cubic n (a table does not depend on the distributions).  No table is kept
-    past the group of checks that reads it.
+    Each space's table is built once, under ``budget``, and read by every
+    check on its space.  A cubic table serves its zero-tensor count, at n=4
+    (3 when fast) the trichotomy, at n=3 the classification, and at n <= 3
+    the uniform and skewed zero probabilities (a table does not depend on the
+    distributions).  The order-2 n=2 table serves the zero-matrix count and
+    the zero probability, and the n=4 one every banded count.  Only the
+    cubic n <= 3 and order-2 n=2 tables are kept past the counts that build
+    them.
     """
     rows: list[CheckRow] = []
     u2 = uniform(2)
+    kept: dict[tuple[int, int], SpaceTable] = {}  # (order, n) -> table read again below
 
     # order-3 supersymmetric zero-tensor count = 2^n; at n=4 (3 when fast),
     # on the same table, the trichotomy: one nonzero diagonal sum -> 2, none zero -> 1
@@ -895,6 +906,8 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
     for n in (2, 3) if fast else (2, 3, 4, 5):
         m = cubic_sign_model(n, u2, u2)
         space = space_table(m, budget, "factorization census")
+        if n <= 3:
+            kept[3, n] = space
         census = _count_in(space, zero_tensor(3, n), m)
         rows.append(_count_check(f"order3 zero-tensor count n={n}", census.total_count, 2**n))
         if n == (3 if fast else 4):
@@ -909,15 +922,19 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
     del space
 
     # exhaustive classification of every tensor at n=3
-    rows.extend(cubic_census_classification(3, budget))
+    rows.extend(_classify_cubic(kept[3, 3], 3))
 
     # order-2 zero-matrix count = 2^(2n+1)
     for n in (2,) if fast else (2, 3):
         m = bilinear_sign_model(n, u2, u2, u2, u2)
-        census = count_factorizations(zero_tensor(2, n), m, budget=budget)
+        space = space_table(m, budget, "factorization census")
+        if n == 2:
+            kept[2, 2] = space
+        census = _count_in(space, zero_tensor(2, n), m)
         rows.append(
             _count_check(f"order2 zero-matrix count n={n}", census.total_count, 2 ** (2 * n + 1))
         )
+    del space
 
     # order-2 banded construction count = 2^(n-m+2) at n=4, one table for every m
     n = 4
@@ -938,20 +955,13 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
     skew_p = Distribution((Fraction(1, 4), Fraction(3, 4)))
     skew_q = Distribution((Fraction(2, 3), Fraction(1, 3)))
     for n in (2,) if fast else (2, 3):
-        uniform_model = cubic_sign_model(n, u2, u2)
-        space = space_table(uniform_model, budget, "zero-tensor sweep")
         for label, model in (
-            (f"order3 zero-prob uniform n={n}", uniform_model),
+            (f"order3 zero-prob uniform n={n}", cubic_sign_model(n, u2, u2)),
             (f"order3 zero-prob skewed n={n}", cubic_sign_model(n, skew_p, skew_q)),
         ):
-            rows.append(_prob_check(label, prob_zero_tensor(model), _zero_prob(space, model)))
-    del space
+            observed = _zero_prob(kept[3, n], model)
+            rows.append(_prob_check(label, prob_zero_tensor(model), observed))
     m2 = bilinear_sign_model(2, u2, u2, u2, u2)
-    rows.append(
-        _prob_check(
-            "order2 zero-prob uniform n=2",
-            prob_zero_tensor(m2),
-            brute_force_zero_prob(m2, budget),
-        )
-    )
+    observed = _zero_prob(kept[2, 2], m2)
+    rows.append(_prob_check("order2 zero-prob uniform n=2", prob_zero_tensor(m2), observed))
     return rows

@@ -16,10 +16,11 @@ an int before construction.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, count, islice, product
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -209,8 +210,13 @@ def intern_tensors(
     P(w; k) = sum_r w_r X_k[:, r] (x) ... (x) X_N[:, r] is the n-tuple of the
     slabs P(w * X_k[i, :]; k+1), and P(w; N) is an n-entry block.  Each
     level's slabs are interned (``_slab_bytes``), so bytes are packed once
-    per distinct block and joined once per distinct slab, and a tuple's key
-    joins just its n top-level slabs.
+    per distinct block and joined once per distinct slab.  The top level is
+    hash-consed the same way: a tuple's id is interned on the tuple of its n
+    top-level slabs, and a key is joined once per id.  This numbers ids as
+    interning the joined keys would: every scalar packs to a self-delimiting
+    varint pair (a prefix code) and every top-level slab packs n^(N-1)
+    scalars, so a key splits back into its n slabs in one way only, and two
+    slab tuples are equal exactly when their joins are.
 
     A supersymmetric tensor is the sum of its columns' N-fold outer powers,
     sum_r x_r (x) ... (x) x_r, so it depends only on the multiset of the
@@ -244,10 +250,10 @@ def intern_tensors(
         return tuple_ids, key_to_id
     first, *rest = mode_matrices
     slabs = _slab_bytes(rest)
-    for x in first:  # the top level is interned on its keys, which the table keeps
-        keys = map(b"".join, zip(*map(slabs, x.rows)))
-        tuple_ids += [intern(key, len(key_to_id)) for key in keys]
-    return tuple_ids, key_to_id
+    ids: defaultdict[tuple, int] = defaultdict(count().__next__)
+    for x in first:  # the top level is interned on its n slabs, and joined once per id
+        tuple_ids += map(ids.__getitem__, zip(*map(slabs, x.rows)))
+    return tuple_ids, dict(zip(map(b"".join, ids), ids.values()))
 
 
 def _slab_bytes(

@@ -195,6 +195,43 @@ def test_bilinear_zero_prob_skewed_matches_brute_force():
     assert prob_zero_tensor(m) == brute_force_zero_prob(m)
 
 
+SKEW_P = Distribution((Fraction(1, 4), Fraction(3, 4)))
+SKEW_Q = Distribution((Fraction(2, 3), Fraction(1, 3)))
+NO_MINUS = Distribution((Fraction(0), Fraction(1)))  # -1 has probability zero
+
+
+@pytest.mark.parametrize(
+    "shape, n",
+    [("cubic", 2), ("cubic", 3), ("cubic", 4), ("bilinear", 2), ("bilinear", 3)],
+)
+def test_zero_prob_equals_the_probability_table_entry(shape, n):
+    # Weighing only the tuples that compose to zero gives the zero id's entry
+    # of the whole table's per-id totals, with any distributions on one table.
+    dists = {
+        "uniform": (U2, U2, U2, U2),
+        "skewed": (SKEW_P, SKEW_Q, SKEW_Q, SKEW_P),
+        "zero-probability symbol": (NO_MINUS, SKEW_Q, SKEW_P, NO_MINUS),
+    }
+    if shape == "cubic":
+        models = [cubic_sign_model(n, *d[:2]) for d in dists.values()]
+    else:
+        models = [bilinear_sign_model(n, *d) for d in dists.values()]
+    space = space_table(models[0], 1 << 16, "test sweep")
+    zero = space.key_to_id[zero_tensor(models[0].order, n).key()]
+    for m in models:
+        totals, denominator = space.probabilities(m)
+        observed = analysis._zero_prob(space, m)
+        assert observed == Fraction(totals[zero], denominator) == prob_zero_tensor(m)
+
+
+def test_zero_prob_weighs_only_the_zero_generators(monkeypatch):
+    calls = count_calls(monkeypatch, "matrix_probability")
+    m = cubic_sign_model(3, SKEW_P, SKEW_Q)
+    space = space_table(m, 64, "test sweep")
+    assert analysis._zero_prob(space, m) == Fraction(7, 12) ** 3
+    assert 0 < len(calls) <= 8  # one per zero generator: 2^3 of the 64 matrices
+
+
 def test_prob_zero_refuses_other_shapes():
     with pytest.raises(UnsupportedModelError):
         prob_zero_tensor(rank_one_sign_model(3, 3, [U2] * 3))
@@ -903,13 +940,14 @@ def test_verify_examples_full_run_rows_are_pinned(monkeypatch):
     )
     rows = verify_examples()
     assert [(r.name, r.observed, r.expected, r.ok) for r in rows] == FULL_RUN_ROWS
-    # each table is built once per group of checks that reads it: the cubic
-    # n=4 table serves the zero count and the trichotomy, the order-2 n=4 table
-    # every banded count, and a cubic table both zero-probability models
+    # each space's table is built once and read by every check on it: the
+    # cubic n=3 table serves its zero count, the classification and both
+    # zero-probability models, and the order-2 n=2 table its zero count and
+    # zero probability
     assert Counter(builds) == {
-        (3, 2): 2, (3, 3): 3, (3, 4): 1, (3, 5): 1, (2, 2): 2, (2, 3): 1, (2, 4): 1
+        (3, 2): 1, (3, 3): 1, (3, 4): 1, (3, 5): 1, (2, 2): 1, (2, 3): 1, (2, 4): 1
     }
-    assert len(builds) == 11
+    assert len(builds) == 7
 
 
 def test_verify_examples_refuses_a_budget_below_its_first_table():
@@ -923,6 +961,32 @@ def test_verify_examples_refuses_a_budget_below_the_banded_table():
     with pytest.raises(BudgetExceededError, match="factorization census") as info:
         verify_examples(budget=4096)
     assert info.value.required == 65536
+
+
+def test_count_ranks_each_distinct_matrix_once_a_call(monkeypatch):
+    calls = count_calls(monkeypatch, "rank_exact")
+    m = bilinear_sign_model(3, U2, U2, U2, U2)
+    space = space_table(m, 4096, "factorization census")
+    census = analysis._count_in(space, zero_tensor(2, 3), m)
+    generators = list(space.tuples_with_id(space.key_to_id[zero_tensor(2, 3).key()]))
+    distinct = {x.rows for mats in generators for x in mats}
+    ranked = [args[0] for _, args in calls]
+    assert len(ranked) == len(set(ranked)) == len(distinct) < 2 * len(generators)
+    # the census is the one that ranks every matrix of every tuple
+    assert (census.total_count, census.full_rank_count) == (128, 0)
+    assert census.representatives == tuple(FactorTuple(mats) for mats in generators[:64])
+    assert census.full_rank_tuples == census.classes == ()
+    x = FactorMatrix(1, ((1, 1), (1, -1), (-1, 1)))
+    y = FactorMatrix(2, ((1, -1), (1, 1), (-1, -1)))
+    census = analysis._count_in(space, cpd_compose([x, y]), m, full_rank_only=True)
+    full = [
+        FactorTuple(mats)
+        for mats in space.tuples_with_id(space.key_to_id[cpd_compose([x, y]).key()])
+        if all(linalg_oracle.rank_exact(z.rows) == 2 for z in mats)
+    ]
+    assert census.full_rank_tuples == tuple(full) and census.full_rank_count == len(full) > 1
+    assert census.representatives == tuple(full[:64])
+    assert census.classes == analysis._equivalence_classes(full)
 
 
 def test_counts_on_a_shared_table_equal_count_factorizations():

@@ -215,6 +215,49 @@ def test_supersymmetric_ids_equal_the_partition_of_packed_compositions(instance)
     assert list(key_to_id.items()) == list(first.items())
 
 
+@st.composite
+def product_lists(draw):
+    """An order of 2-4 and one list of n x R matrices per mode (R 1-3, zero
+    and 1/2 allowed), each a canonical mode space shuffled or a sub-sample
+    with repeats, with 1 to 4096 tuples in all."""
+    order = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 3))
+    symbols = st.sets(st.sampled_from(SWEEP_SYMBOLS), min_size=2, max_size=3)
+    alphabets = tuple(Alphabet(tuple(sorted(draw(symbols)))) for _ in range(order))
+    largest = max(a.size for a in alphabets) ** r
+    n = draw(st.integers(1, max(k for k in range(1, 4) if largest**k <= 64)))
+    m = ModelSpec(order, n, r, alphabets, tuple((uniform(a.size),) * r for a in alphabets))
+    lists, room = [], 4096
+    for mode in range(1, order + 1):
+        space = list(iter_mode_matrices(m, mode))
+        picks = st.lists(st.integers(0, len(space) - 1), min_size=1, max_size=min(6, room))
+        if len(space) <= room:
+            picks = st.one_of(st.permutations(range(len(space))), picks)
+        lists.append([space[i] for i in draw(picks)])
+        room //= max(1, len(lists[-1]))
+    return order, lists
+
+
+@given(product_lists())
+@settings(max_examples=60, deadline=None)
+def test_product_ids_equal_the_partition_of_packed_compositions(instance):
+    # The top level is interned on its slab tuples, not on the joined keys;
+    # any per-mode lists, repeats included, must give the ids and keys of
+    # interning the packed compositions.
+    order, lists = instance
+    tuple_ids, key_to_id = tensors.intern_tensors(lists, order)
+    first: dict[bytes, int] = {}
+    packed = [pack_scalars(compose_entries(mats)) for mats in product(*lists)]
+    for key in packed:
+        first.setdefault(key, len(first))
+    assert tuple_ids == [first[key] for key in packed]
+    assert list(key_to_id.items()) == list(first.items())
+    # a repeated matrix gives the tuples it sits in the ids of its first copy
+    seen: dict[tuple, int] = {}
+    for rows, tid in zip(product(*[[x.rows for x in mats] for mats in lists]), tuple_ids):
+        assert seen.setdefault(rows, tid) == tid
+
+
 def test_cubic_table_packs_each_column_multiset_once(monkeypatch):
     packed = []
 
