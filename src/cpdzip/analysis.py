@@ -533,10 +533,8 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     if len(pivots) != r:
         return []
     u_p = [u[p] for p in pivots]
-    alphabet_n = m.alphabet(order)
-    vectors = _span_vectors(u, u_p, alphabet_n)
-    leading = [m.alphabet(i) for i in range(1, order)]
-    symbols = [_symbol_lookup(a) for a in leading]
+    vectors = _span_vectors(u, u_p, m.alphabet(order))
+    symbols = [_symbol_lookup(m.alphabet(i)) for i in range(1, order)]
     factors: dict[tuple, list[tuple[tuple, ...]]] = {}  # row of K^T -> factorizations
     # (mode, columns) -> one FactorMatrix, held by every tuple that uses it
     shared: dict[tuple, FactorMatrix] = {}
@@ -552,7 +550,7 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
                 tuple(row) == outer_product([v] * (order - 1)).entries
                 for row, (v, _) in zip(k_t, cols)
             ):
-                x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))), alphabet_n)
+                x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))))
                 result.append(FactorTuple(replicate(x_n, order)))
             continue
         per_row = []
@@ -563,17 +561,17 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
         combos = []
         for combo in product(*per_row):
             mats = []
-            for j, a in enumerate(leading, 1):
+            for j in range(1, order):
                 columns = tuple(c[j - 1] for c in combo)
                 x = shared.get((j, columns))
                 if x is None:
-                    x = shared[j, columns] = FactorMatrix(j, tuple(zip(*columns)), a)
+                    x = shared[j, columns] = FactorMatrix(j, tuple(zip(*columns)))
                 mats.append(x)
             combos.append(tuple(mats))
         # The combinations differ only by nonzero column scalings, which keep
         # every matrix's rank: the first one decides for all.
         if combos and all(has_full_rank(x.rows) for x in combos[0]):
-            x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))), alphabet_n)
+            x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))))
             result.extend(FactorTuple(mats + (x_n,)) for mats in combos)
     return sorted(result, key=_tuple_sort_key)
 
@@ -801,7 +799,7 @@ def cubic_sign_tensor(a1, a2) -> ExactTensor:
     """Compose the supersymmetric order-3 tensor of X = [a1, a2]."""
     n = len(a1)
     rows = tuple((a1[j], a2[j]) for j in range(n))
-    mats = replicate(FactorMatrix(1, rows, sign_alphabet()), 3)
+    mats = replicate(FactorMatrix(1, rows), 3)
     from .tensors import cpd_compose
 
     return cpd_compose(FactorTuple(mats))
@@ -887,30 +885,33 @@ def _classify_cubic(space: SpaceTable, n: int) -> list[CheckRow]:
 def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[CheckRow]:
     """Reproduce every documented counting and probability identity exactly.
 
-    Each space's table is built once, under ``budget``, and read by every
-    check on its space.  A cubic table serves its zero-tensor count, at n=4
-    (3 when fast) the trichotomy, at n=3 the classification, and at n <= 3
-    the uniform and skewed zero probabilities (a table does not depend on the
-    distributions).  The order-2 n=2 table serves the zero-matrix count and
-    the zero probability, and the n=4 one every banded count.  Only the
-    cubic n <= 3 and order-2 n=2 tables are kept past the counts that build
-    them.
+    One loop builds each cubic table, under ``budget``, and one each order-2
+    table; every check on a space reads its table in that space's iteration.
+    A cubic table serves its zero-tensor count, at n=4 (3 when fast) the
+    trichotomy, at n=3 the classification, and at n <= 3 the uniform and
+    skewed zero probabilities (a table does not depend on the distributions).
+    An order-2 table serves the zero-matrix count below n=4, at n=2 the zero
+    probability, and at n=4 every banded count.  Each check appends to its
+    section, and the rows are the sections in a fixed order.
     """
-    rows: list[CheckRow] = []
     u2 = uniform(2)
-    kept: dict[tuple[int, int], SpaceTable] = {}  # (order, n) -> table read again below
-
-    # order-3 supersymmetric zero-tensor count = 2^n; at n=4 (3 when fast),
-    # on the same table, the trichotomy: one nonzero diagonal sum -> 2, none zero -> 1
+    skew_p = Distribution((Fraction(1, 4), Fraction(3, 4)))
+    skew_q = Distribution((Fraction(2, 3), Fraction(1, 3)))
+    zero3: list[CheckRow] = []
     trichotomy: list[CheckRow] = []
+    classification: list[CheckRow] = []
+    zero2: list[CheckRow] = []
+    banded: list[CheckRow] = []
+    prob3: list[CheckRow] = []
+    prob2: list[CheckRow] = []
+
     for n in (2, 3) if fast else (2, 3, 4, 5):
         m = cubic_sign_model(n, u2, u2)
         space = space_table(m, budget, "factorization census")
-        if n <= 3:
-            kept[3, n] = space
-        census = _count_in(space, zero_tensor(3, n), m)
-        rows.append(_count_check(f"order3 zero-tensor count n={n}", census.total_count, 2**n))
-        if n == (3 if fast else 4):
+        # order-3 supersymmetric zero-tensor count = 2^n
+        count = _count_in(space, zero_tensor(3, n), m).total_count
+        zero3.append(_count_check(f"order3 zero-tensor count n={n}", count, 2**n))
+        if n == (3 if fast else 4):  # one nonzero diagonal sum -> 2, none zero -> 1
             ones = (1,) * n
             for label, t, expected in (
                 ("single-anchor", cubic_sign_tensor(ones, (-1,) * (n - 1) + (1,)), 2),
@@ -918,50 +919,29 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
             ):
                 count = _count_in(space, t, m).total_count
                 trichotomy.append(_count_check(f"order3 {label} count n={n}", count, expected))
-    rows.extend(trichotomy)
-    del space
+        if n == 3:  # exhaustive classification of every tensor
+            classification.extend(_classify_cubic(space, n))
+        if n <= (2 if fast else 3):  # closed-form zero probabilities equal brute force
+            for label, model in (
+                (f"order3 zero-prob uniform n={n}", m),
+                (f"order3 zero-prob skewed n={n}", cubic_sign_model(n, skew_p, skew_q)),
+            ):
+                prob3.append(_prob_check(label, prob_zero_tensor(model), _zero_prob(space, model)))
 
-    # exhaustive classification of every tensor at n=3
-    rows.extend(_classify_cubic(kept[3, 3], 3))
-
-    # order-2 zero-matrix count = 2^(2n+1)
-    for n in (2,) if fast else (2, 3):
+    for n in (2, 4) if fast else (2, 3, 4):
         m = bilinear_sign_model(n, u2, u2, u2, u2)
         space = space_table(m, budget, "factorization census")
+        if n < 4:  # order-2 zero-matrix count = 2^(2n+1)
+            count = _count_in(space, zero_tensor(2, n), m).total_count
+            zero2.append(_count_check(f"order2 zero-matrix count n={n}", count, 2 ** (2 * n + 1)))
         if n == 2:
-            kept[2, 2] = space
-        census = _count_in(space, zero_tensor(2, n), m)
-        rows.append(
-            _count_check(f"order2 zero-matrix count n={n}", census.total_count, 2 ** (2 * n + 1))
-        )
-    del space
+            observed = _zero_prob(space, m)
+            prob2.append(_prob_check(f"order2 zero-prob uniform n={n}", prob_zero_tensor(m),
+                                     observed))
+        if n == 4:  # order-2 banded construction count = 2^(n-m+2), one table for every m
+            for m_rows in (3,) if fast else (1, 2, 3):
+                count = _count_in(space, banded_rows_matrix_tensor(n, m_rows), m).total_count
+                banded.append(_count_check(f"order2 banded count n={n} m={m_rows}", count,
+                                           2 ** (n - m_rows + 2)))
 
-    # order-2 banded construction count = 2^(n-m+2) at n=4, one table for every m
-    n = 4
-    m = bilinear_sign_model(n, u2, u2, u2, u2)
-    space = space_table(m, budget, "factorization census")
-    for m_rows in (3,) if fast else (1, 2, 3):
-        census = _count_in(space, banded_rows_matrix_tensor(n, m_rows), m)
-        rows.append(
-            _count_check(
-                f"order2 banded count n={n} m={m_rows}",
-                census.total_count,
-                2 ** (n - m_rows + 2),
-            )
-        )
-    del space
-
-    # closed-form zero probabilities equal exhaustive brute force, exactly
-    skew_p = Distribution((Fraction(1, 4), Fraction(3, 4)))
-    skew_q = Distribution((Fraction(2, 3), Fraction(1, 3)))
-    for n in (2,) if fast else (2, 3):
-        for label, model in (
-            (f"order3 zero-prob uniform n={n}", cubic_sign_model(n, u2, u2)),
-            (f"order3 zero-prob skewed n={n}", cubic_sign_model(n, skew_p, skew_q)),
-        ):
-            observed = _zero_prob(kept[3, n], model)
-            rows.append(_prob_check(label, prob_zero_tensor(model), observed))
-    m2 = bilinear_sign_model(2, u2, u2, u2, u2)
-    observed = _zero_prob(kept[2, 2], m2)
-    rows.append(_prob_check("order2 zero-prob uniform n=2", prob_zero_tensor(m2), observed))
-    return rows
+    return zero3 + trichotomy + classification + zero2 + banded + prob3 + prob2

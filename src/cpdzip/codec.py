@@ -23,6 +23,7 @@ so each codeword has exactly one byte form.
 from __future__ import annotations
 
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -64,6 +65,8 @@ VERSION = 1
 FLAG_TYPICAL = 0
 FLAG_FALLBACK = 1
 U32_MAX = (1 << 32) - 1
+# The codeword header, in the wire format's field order; the index follows it.
+_HEADER = struct.Struct(">4sBBBHII32sBB")
 
 
 class DecodeError(CpdzipError):
@@ -298,45 +301,32 @@ def codeword_to_bytes(c: Codeword) -> bytes:
     _check_range("flag", c.flag, 0, 255)
     if c.index < 0 or length > 255:
         raise CodewordRangeError("codeword index must be non-negative and fit in 255 bytes")
-    if len(c.model_digest) != 32:
+    if len(c.model_digest) != 32:  # "32s" would pad or truncate it silently
         raise CodewordRangeError("codeword model digest must be 32 bytes")
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    out.append(c.order)
-    out.append(c.components)
-    out += c.n.to_bytes(2, "big")
-    out += c.gamma.numerator.to_bytes(4, "big")
-    out += c.gamma.denominator.to_bytes(4, "big")
-    out += c.model_digest
-    out.append(c.flag)
-    out.append(length)
-    out += c.index.to_bytes(length, "big")
-    return bytes(out)
+    header = _HEADER.pack(
+        MAGIC, VERSION, c.order, c.components, c.n, c.gamma.numerator, c.gamma.denominator,
+        c.model_digest, c.flag, length,
+    )
+    return header + c.index.to_bytes(length, "big")
 
 
 def codeword_from_bytes(buf: bytes) -> Codeword:
-    if len(buf) < 4 + 1 + 2 + 2 + 8 + 32 + 2 + 1:
+    if len(buf) < _HEADER.size + 1:
         raise DecodeError("codeword truncated")
-    if buf[:4] != MAGIC:
+    magic, version, order, components, n, num, den, digest, flag, length = (
+        _HEADER.unpack_from(buf)
+    )
+    if magic != MAGIC:
         raise DecodeError("bad magic")
-    if buf[4] != VERSION:
-        raise DecodeError(f"unsupported codeword version {buf[4]}")
-    order = buf[5]
-    components = buf[6]
-    n = int.from_bytes(buf[7:9], "big")
-    num = int.from_bytes(buf[9:13], "big")
-    den = int.from_bytes(buf[13:17], "big")
+    if version != VERSION:
+        raise DecodeError(f"unsupported codeword version {version}")
     if num == 0 or den == 0:
         raise DecodeError(f"codeword gamma {num}/{den} has a zero term")
     if math.gcd(num, den) != 1:
         raise DecodeError(f"codeword gamma {num}/{den} is not in lowest terms")
-    digest = buf[17:49]
-    flag = buf[49]
-    length = buf[50]
-    if len(buf) != 51 + length:
+    if len(buf) != _HEADER.size + length:
         raise DecodeError("codeword payload length mismatch")
-    index = int.from_bytes(buf[51 : 51 + length], "big")
+    index = int.from_bytes(buf[_HEADER.size :], "big")
     if length != _index_length(index):
         raise DecodeError(f"codeword index takes {length} bytes; its shortest form differs")
     return Codeword(order, components, n, Fraction(num, den), digest, flag, index)
@@ -370,25 +360,26 @@ def measure_scheme(
 
     The error probability sums the model probability of every tuple in the
     full space whose composed tensor is not decoded back to itself, so the
-    full space must fit the budget.
+    full space must fit the budget.  Only the typical positions of each mode
+    are read: no decode book or matrix is built.  The codebook indexes the
+    tensor of every typical tuple, the fallback (tuple 0's) among them, so
+    the decodable ids are the typical ones; with no typical tuple, the
+    fallback is the zero tensor.
     """
     _check_shape(m, p)
-    space = _space_index(m, budget)
+    space = _space_index(m, budget)  # also bounds each mode and the codebook
     numerators, denominator = _tensor_probabilities(m)
-    book = build_decode_book(m, p, budget)
-    enums, tuple_count = book.enums, book.tuple_count
-    typical = set(space.typical_ids(enums))
-
-    # a tensor decodes to itself if the codebook indexes it or it is the fallback
-    decodable = sum(map(numerators.__getitem__, typical))
-    fallback_id = space.key_to_id.get(book.fallback_tensor.key())
-    if fallback_id is not None and fallback_id not in typical:
-        decodable += numerators[fallback_id]
-    error = 1 - Fraction(decodable, denominator)
+    modes = range(1, m.independent_matrices + 1)
+    enums = tuple(enumerate_typical(m, p, i, budget) for i in modes)
+    decodable_ids = set(space.typical_ids(enums))
+    if not decodable_ids:  # the fallback alone decodes: the zero tensor
+        zero = space.key_to_id.get(zero_tensor(m.order, m.dim).key())
+        decodable_ids = set() if zero is None else {zero}
+    error = 1 - Fraction(sum(map(numerators.__getitem__, decodable_ids)), denominator)
 
     masses = tuple(e.table.mass for e in enums)
     mass_bound = 1 - math.prod(masses, start=Fraction(1))
-    size = tuple_count + 1
+    size = math.prod(e.count for e in enums) + 1
     return SchemeReport(
         codebook_size=size,
         log_M_nats=math.log(size),

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import statistics
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .typicality import (
     TypicalityParamsError,
     enumerate_typical,
     mode_space_size,
+    space_table,
     spectrum_samples,
 )
 
@@ -308,11 +308,13 @@ def _rows_full_rank(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -
 
 
 def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> list[ResultRow]:
+    """Census rows; each n's table is built once and read by every count and
+    the brute-force zero probability."""
     from .analysis import (
         UnsupportedModelError,
+        _count_in,
+        _zero_prob,
         banded_rows_matrix_tensor,
-        brute_force_zero_prob,
-        count_factorizations,
         example_shape,
         prob_zero_tensor,
     )
@@ -326,16 +328,16 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> l
     for n in cfg.n_grid:
         m = base.with_dim(n)
         with _grid_point(cfg, n):
-            census = count_factorizations(zero_tensor(m.order, n), m, budget=cfg.budget)
+            space = space_table(m, cfg.budget, "factorization census")
+        census = _count_in(space, zero_tensor(m.order, n), m)
         expected = 2**n if shape == "cubic" else 2 ** (2 * n + 1)
         rows.append(_row(cfg, n, "zero_tensor_count", estimate=float(census.total_count),
                          exact=Fraction(expected)))
         rows.append(_row(cfg, n, "zero_tensor_prob_closed_minus_brute", estimate=0.0,
-                         exact=prob_zero_tensor(m) - brute_force_zero_prob(m, cfg.budget)))
+                         exact=prob_zero_tensor(m) - _zero_prob(space, m)))
         if shape == "bilinear":
             for m_rows in range(1, n):
-                c = count_factorizations(banded_rows_matrix_tensor(n, m_rows), m,
-                                         budget=cfg.budget)
+                c = _count_in(space, banded_rows_matrix_tensor(n, m_rows), m)
                 rows.append(_row(cfg, n, f"banded_count_m_{m_rows}",
                                  estimate=float(c.total_count),
                                  exact=Fraction(2 ** (n - m_rows + 2))))
@@ -356,8 +358,11 @@ KINDS = tuple(_ROW_BUILDERS)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a sibling temporary file (mode 0o600, named for this
+    process) and rename it over ``path``; on failure the sibling is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

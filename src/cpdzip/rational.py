@@ -128,38 +128,38 @@ def compact(value: Scalar) -> Scalar:
     return value
 
 
-# Per-scalar encodings repeat heavily inside tensor sweeps; memoize them.
-_FRAGMENTS: dict[Scalar, bytes] = {}
-_FRAGMENT_CAP = 1 << 16
-
-
 def scalar_fragment(value: Scalar) -> bytes:
     """One scalar's key bytes: the varint of its zigzagged numerator, then
     the varint of its denominator (7 bits a byte, least significant first,
     high bit set on every byte but the last).  An integral Fraction gives
     the bytes of the equal int."""
-    frag = _FRAGMENTS.get(value)
-    if frag is None:
-        if isinstance(value, int):
-            num, den = value, 1
-        else:
-            num, den = value.numerator, value.denominator
-        out = bytearray()
-        for u in ((num << 1) if num >= 0 else ((-num) << 1) - 1, den):
-            while u > 0x7F:
-                out.append(u & 0x7F | 0x80)
-                u >>= 7
-            out.append(u)
-        frag = bytes(out)
-        if len(_FRAGMENTS) < _FRAGMENT_CAP:
-            _FRAGMENTS[value] = frag
-    return frag
+    if isinstance(value, int):
+        num, den = value, 1
+    else:
+        num, den = value.numerator, value.denominator
+    out = bytearray()
+    for u in ((num << 1) if num >= 0 else ((-num) << 1) - 1, den):
+        while u > 0x7F:
+            out.append(u & 0x7F | 0x80)
+            u >>= 7
+        out.append(u)
+    return bytes(out)
+
+
+# The fragment of every int whose zigzag fits one varint byte (-64..63), built
+# once; any other scalar is packed by ``scalar_fragment`` on each call.  The
+# keys go in descending order: in CPython hash(-1) == hash(-2), and a -1
+# inserted after -2 would make every lookup of -1 probe past it.
+_ONE_BYTE_FRAGMENTS = {value: scalar_fragment(value) for value in range(63, -65, -1)}
 
 
 def pack_scalars(values: Iterable[Scalar]) -> bytes:
-    """Injective byte encoding of a scalar sequence (self-delimiting varints)."""
+    """Injective byte encoding of a scalar sequence (self-delimiting varints).
+
+    Reads only the constant one-byte table when every value is in it, and
+    writes no state."""
     values = tuple(values)
-    try:  # every scalar already memoized: no per-scalar Python call
-        return b"".join(map(_FRAGMENTS.__getitem__, values))
+    try:
+        return b"".join(map(_ONE_BYTE_FRAGMENTS.__getitem__, values))
     except KeyError:
         return b"".join(map(scalar_fragment, values))

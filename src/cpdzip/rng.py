@@ -151,17 +151,14 @@ def draw_rows(table: DrawTable, rng: random.Random) -> list[list[tuple]]:
 def draw_tuple(table: DrawTable, rng: random.Random) -> FactorTuple:
     """One trial's factor tuple; a supersymmetric model's one matrix is
     replicated into every mode."""
-    mats = [
-        FactorMatrix(mode, rows, alphabet)
-        for mode, alphabet, rows in zip(table.modes, table.alphabets, draw_rows(table, rng))
-    ]
+    mats = [FactorMatrix(mode, rows) for mode, rows in zip(table.modes, draw_rows(table, rng))]
     return FactorTuple(expand_modes(table.model, mats))
 
 
 def sample_matrix(m: ModelSpec, mode: int, rng: random.Random) -> FactorMatrix:
     """Sample one factor matrix; entries drawn column-major (pinned order)."""
     table = DrawTable(m, (mode,))
-    return FactorMatrix(mode, draw_rows(table, rng)[0], table.alphabets[0])
+    return FactorMatrix(mode, draw_rows(table, rng)[0])
 
 
 def sample_tuple(m: ModelSpec, rng: random.Random) -> FactorTuple:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial, reduce
 from fractions import Fraction
 from itertools import chain, combinations, count, islice, product
@@ -25,7 +25,7 @@ from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import DocumentError, json_field
-from .model import Alphabet, CpdzipError, ModelSpec
+from .model import CpdzipError, ModelSpec
 from .rational import (
     Scalar,
     compact,
@@ -80,7 +80,6 @@ class FactorMatrix:
 
     mode: int
     rows: tuple[tuple[Scalar, ...], ...]
-    alphabet: Alphabet | None = field(default=None, compare=False)
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
@@ -134,7 +133,7 @@ class FactorTuple:
 def replicate(x: FactorMatrix, order: int) -> tuple[FactorMatrix, ...]:
     """``x`` copied into each of modes 1..``order``: the matrices of a
     supersymmetric tuple."""
-    return tuple(FactorMatrix(i, x.rows, x.alphabet) for i in range(1, order + 1))
+    return tuple(FactorMatrix(i, x.rows) for i in range(1, order + 1))
 
 
 def expand_modes(m: ModelSpec, mats: Sequence[FactorMatrix]) -> Sequence[FactorMatrix]:

@@ -257,7 +257,7 @@ def mode_matrices(
     weights = [base**r for r in reversed(range(m.components))]
     for pos in positions:
         rows = zip(*(columns[pos // w % base] for w in weights))
-        yield FactorMatrix(mode, rows, alphabet)
+        yield FactorMatrix(mode, rows)
 
 
 def iter_mode_matrices(m: ModelSpec, mode: int) -> Iterator[FactorMatrix]:

@@ -328,6 +328,31 @@ def test_measure_scheme_counts_the_fallback_tensor_as_decodable():
     assert measure_scheme(m, p).exact_error_prob == Fraction(7, 8)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize(
+    "m, gamma",
+    [
+        (skewed_rank_one(3), Fraction(1, 10)),
+        (cubic_sign_model(3, SKEWED, uniform(2)), Fraction(1, 4)),
+        (bilinear_sign_model(2, uniform(2), SKEWED, SKEWED, uniform(2)), Fraction(1, 10)),
+    ],
+    ids=["rank-one", "supersymmetric", "empty-codebook"],
+)
+def test_measure_scheme_builds_no_decode_book_or_matrix(m, gamma, monkeypatch):
+    p = TypicalityParams(gamma, m.dim)
+    expected = measure_scheme(m, p)
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "build_decode_book", _never)
+        patch.setattr(codec, "mode_matrices", _never)
+        assert measure_scheme(m, p) == expected
+    if expected.codebook_size == 1:  # the empty codebook's fallback is the zero tensor
+        assert build_decode_book(m, p).fallback_tensor == zero_tensor(m.order, m.dim)
+        assert expected.exact_error_prob == Fraction(7, 8)
+
+
 def test_models_differing_only_in_dists_share_one_structure_table():
     table = codec._space_index(uniform_rank_one(2), 64)
     assert codec._space_index(skewed_rank_one(2), 64) is table

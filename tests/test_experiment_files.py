@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from cpdzip import analysis, experiments
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
 from cpdzip.experiments import ExperimentConfig, run_experiment
 from cpdzip.model import Alphabet, Distribution, ModelSpec, save_model, uniform
@@ -105,3 +106,17 @@ def run_case(tmp_path, case, model, kind, n_grid, gamma_grid, trials, seed) -> d
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_result_files_match_their_golden_digests(tmp_path, case):
     assert run_case(tmp_path, *case) == DIGESTS[case[0]]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[2] == "census"], ids=lambda c: c[0])
+def test_census_builds_one_table_per_grid_point(tmp_path, monkeypatch, case):
+    built = []
+
+    def counted(m, budget, what, _build=experiments.space_table):
+        built.append(m.dim)
+        return _build(m, budget, what)
+
+    for module in (analysis, experiments):
+        monkeypatch.setattr(module, "space_table", counted)
+    assert run_case(tmp_path, *case) == DIGESTS[case[0]]
+    assert built == list(case[3])

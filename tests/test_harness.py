@@ -446,6 +446,26 @@ def test_write_results_row_shape(tmp_path):
     assert fields[-1] == ""  # ms column reserved, empty for reproducibility
 
 
+def test_a_failed_rename_leaves_the_target_and_no_temporary_file(tmp_path, monkeypatch):
+    from cpdzip import experiments
+    from cpdzip.experiments import ResultRow
+
+    rows = [ResultRow("spectrum", 4, None, "spectrum_mean", 2.1, None, 2.08, 0.01, 100, 1)]
+    csv_path, _ = write_results(rows, tmp_path / "out")
+    assert csv_path.stat().st_mode & 0o777 == 0o600  # readable by its owner alone
+    before = sorted(p.name for p in tmp_path.iterdir())
+    text = csv_path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(experiments.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_results(rows[:0], tmp_path / "out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert csv_path.read_bytes() == text
+
+
 def test_a_dotted_out_gets_its_suffixes_appended(tmp_path):
     runs = tmp_path / "runs"
     for version in ("a.v1", "a.v2"):  # neither run overwrites the other's files

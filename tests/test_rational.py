@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdzip import rational
 from cpdzip.model import CpdzipError
 from cpdzip.rational import (
     ScalarError,
@@ -207,3 +208,13 @@ def test_pack_scalars_golden_bytes():
     assert pack_scalars((1, -1, Fraction(1, 2), 0)).hex() == "0201010102020001"
     # zigzag(-64) = 127 -> 7f; zigzag(64) = 128 -> 80 01; zigzag(-300) = 599 -> d7 04
     assert pack_scalars((-64, 64, Fraction(-300, 7))).hex() == "7f01800101d70407"
+
+
+def test_pack_scalars_writes_no_module_state():
+    def sizes():
+        return {k: len(v) for k, v in vars(rational).items() if type(v) in (dict, list)}
+
+    values = (10**30, Fraction(7, 3), -1)
+    before = sizes()
+    assert pack_scalars(values) == _key_reference(values)
+    assert sizes() == before

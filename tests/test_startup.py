@@ -137,11 +137,16 @@ def test_experiment_loads_only_its_kinds_code(tmp_path, kind):
         "model": str(model), "kind": kind, "n_grid": [2], "trials": 3, "seed": 1,
         "out": str(tmp_path / "out"),
     }))
-    loaded = loaded_by("-m", "cpdzip.cli", "experiment", "--config", str(config), cwd=tmp_path)
+    argv = ("-m", "cpdzip.cli", "experiment", "--config", str(config))
+    loaded = loaded_by(*argv, cwd=tmp_path)
     wanted, unwanted = KIND_MODULES[kind]
     assert "cpdzip.experiments" in loaded
     assert wanted <= loaded, wanted - loaded
     assert not loaded & (unwanted | {"mpmath"}), loaded & (unwanted | {"mpmath"})
+    # Result files are written without tempfile.  A site-packages start-up hook
+    # (a .pth file) may import it before the command runs, so this run skips
+    # site (-S); the command needs nothing from site-packages.
+    assert "tempfile" not in loaded_by("-S", *argv, cwd=tmp_path)
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
