@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import permutations, product
@@ -45,6 +44,7 @@ from .model import (
     uniform,
 )
 from .rational import Scalar
+from .records import Record
 from .tensors import (
     ExactTensor,
     FactorMatrix,
@@ -116,8 +116,7 @@ def rank_one_sign_model(n: int, order: int, dists) -> ModelSpec:
 MAX_REPRESENTATIVES = 64
 
 
-@dataclass(frozen=True)
-class FactorizationCensus:
+class FactorizationCensus(Record):
     """Exhaustive count of the factor tuples composing to one target tensor."""
 
     target: ExactTensor
@@ -182,8 +181,7 @@ def _count_in(
 # --- essential-uniqueness certification ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PermScalingRelation:
+class PermScalingRelation(Record):
     """other_i[:, r] = lambdas[i][r] * ref_i[:, permutation[r]], prod_i Lambda_i = I."""
 
     other: FactorTuple
@@ -191,16 +189,14 @@ class PermScalingRelation:
     lambdas: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class WRelation:
+class WRelation(Record):
     """other_1 = ref_1 W and other_2 = ref_2 (W^-1)^T for invertible W."""
 
     other: FactorTuple
     w: tuple[tuple[Scalar, ...], ...]
 
 
-@dataclass(frozen=True)
-class UniquenessCertificate:
+class UniquenessCertificate(Record):
     reference: FactorTuple
     relations: tuple[PermScalingRelation | WRelation, ...]
     violations: tuple[FactorTuple, ...]
@@ -748,8 +744,7 @@ def _zero_prob(space: SpaceTable, m: ModelSpec) -> Fraction:
 # --- full-rank probability bounds -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FullRankBound:
+class FullRankBound(Record):
     """Per-mode rank-deficiency bounds: rho_i and zeta_i = sum_{r<R} rho_i^(n-r)."""
 
     rho_per_mode: tuple[Fraction, ...]
@@ -787,8 +782,7 @@ def exact_rank_deficiency_prob(
 # --- example reproduction suite -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(Record):
     name: str
     observed: str
     expected: str
@@ -927,6 +921,7 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
                 (f"order3 zero-prob skewed n={n}", cubic_sign_model(n, skew_p, skew_q)),
             ):
                 prob3.append(_prob_check(label, prob_zero_tensor(model), _zero_prob(space, model)))
+        del space  # not alive while the next table is built
 
     for n in (2, 4) if fast else (2, 3, 4):
         m = bilinear_sign_model(n, u2, u2, u2, u2)
@@ -943,5 +938,6 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
                 count = _count_in(space, banded_rows_matrix_tensor(n, m_rows), m).total_count
                 banded.append(_count_check(f"order2 banded count n={n} m={m_rows}", count,
                                            2 ** (n - m_rows + 2)))
+        del space
 
     return zero3 + trichotomy + classification + zero2 + banded + prob3 + prob2

@@ -177,7 +177,7 @@ def _cmd_experiment(args) -> int:
 
     cfg = load_experiment_config(args.config)
     if args.out is not None:  # an --out that names no file is refused, as in the config
-        from dataclasses import replace
+        from .records import replace
 
         cfg = replace(cfg, out=args.out)
     csv_path, json_path = run_experiment(cfg)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -39,6 +38,7 @@ from .model import (
     model_hash,
     theoretical_threshold,
 )
+from .records import Record, _set, replace
 from .tensors import (
     ExactTensor,
     FactorMatrix,
@@ -77,8 +77,7 @@ class CodewordRangeError(CpdzipError, ValueError):
     """A codeword field does not fit its slot in the wire form."""
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(Record):
     """Self-describing compressed index."""
 
     order: int
@@ -89,9 +88,18 @@ class Codeword:
     flag: int
     index: int
 
+    def __init__(self, order: int, components: int, n: int, gamma: Fraction,
+                 model_digest: bytes, flag: int, index: int):
+        _set(self, "order", order)
+        _set(self, "components", components)
+        _set(self, "n", n)
+        _set(self, "gamma", gamma)
+        _set(self, "model_digest", model_digest)
+        _set(self, "flag", flag)
+        _set(self, "index", index)
 
-@dataclass(frozen=True)
-class DecodeBook:
+
+class DecodeBook(Record):
     """The part of a codebook that decoding reads.
 
     Building it enumerates the typical matrices of each mode (``matrices``,
@@ -138,7 +146,6 @@ class DecodeBook:
         return mats
 
 
-@dataclass(frozen=True)
 class Codebook(DecodeBook):
     """A decode book plus encoding's map from tensor key to codebook index.
 
@@ -332,8 +339,7 @@ def codeword_from_bytes(buf: bytes) -> Codeword:
     return Codeword(order, components, n, Fraction(num, den), digest, flag, index)
 
 
-@dataclass(frozen=True)
-class SchemeReport:
+class SchemeReport(Record):
     """Exact accounting of one (model, gamma) scheme instance."""
 
     codebook_size: int

@@ -14,9 +14,7 @@ import io
 import json
 import math
 import os
-import statistics
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +28,7 @@ from .model import (
     theoretical_threshold,
 )
 from .rational import rational_str, to_fraction
+from .records import Record
 from .rng import DrawTable, draw_rows, stream_rng
 from .tensors import rank_exact, zero_tensor
 from .typicality import (
@@ -51,8 +50,7 @@ _WILSON_Z = 1.96
 _Samples = dict[int, list[float]]  # spectrum samples by n
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     model_path: str
     kind: str
     n_grid: tuple[int, ...]
@@ -118,8 +116,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise CpdzipError(f"malformed experiment config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     kind: str
     n: int
     gamma: Fraction | None
@@ -158,8 +155,7 @@ class ResultRow:
                 for v in map(obj.get, CSV_HEADER)]
 
 
-@dataclass(frozen=True)
-class FullRankEstimate:
+class FullRankEstimate(Record):
     mode: int
     successes: int
     trials: int
@@ -282,9 +278,9 @@ def _rows_spectrum(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) ->
     rows = []
     for n in cfg.n_grid:
         m = base.with_dim(n)
-        samples[n] = spectrum_samples(m, cfg.trials, cfg.seed)
-        mean = statistics.fmean(samples[n])
-        var = _pvariance(samples[n], mean)
+        xs = samples[n] = spectrum_samples(m, cfg.trials, cfg.seed)
+        mean = math.fsum(xs) / len(xs)  # statistics.fmean's arithmetic on a list
+        var = _pvariance(xs, mean)
         rows.append(_row(cfg, n, "spectrum_mean", estimate=mean, bound=theoretical_threshold(m),
                          stderr=math.sqrt(var / cfg.trials), trials=cfg.trials))
         rows.append(_row(cfg, n, "spectrum_var", estimate=var,
@@ -341,6 +337,7 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> l
                 rows.append(_row(cfg, n, f"banded_count_m_{m_rows}",
                                  estimate=float(c.total_count),
                                  exact=Fraction(2 ** (n - m_rows + 2))))
+        del space  # not alive while the next n's table is built
     return rows
 
 

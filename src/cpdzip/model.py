@@ -8,15 +8,14 @@ entropies and thresholds are floats accurate to <= 1e-12 relative error.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import CpdzipError, DocumentError, json_field, read_json, refuse_unknown_fields
 from .rational import Scalar, compact, rational_str, to_fraction
+from .records import Record
 
 
 class ModelValidationError(CpdzipError):
@@ -42,8 +41,7 @@ class BudgetExceededError(CpdzipError):
 DEFAULT_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """Finite ordered set of exact rational symbols, strictly ascending."""
 
     symbols: tuple[Scalar, ...]
@@ -66,8 +64,7 @@ class Alphabet:
         return out
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """Probabilities aligned index-for-index with an Alphabet."""
 
     probs: tuple[Fraction, ...]
@@ -98,8 +95,7 @@ def uniform(size: int) -> Distribution:
     return Distribution(tuple(Fraction(1, size) for _ in range(size)))
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Joint model: entry (j, r) of factor matrix i is drawn from dists[i-1][r]."""
 
     order: int
@@ -251,6 +247,8 @@ def canonical_model_json(m: ModelSpec) -> str:
 
 def model_hash(m: ModelSpec) -> bytes:
     """SHA-256 of the canonical model JSON; embedded in codeword headers."""
+    import hashlib  # OpenSSL loads only in the commands that hash a model
+
     return hashlib.sha256(canonical_model_json(m).encode("utf-8")).digest()
 
 

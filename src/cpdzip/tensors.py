@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial, reduce
 from fractions import Fraction
 from itertools import chain, combinations, count, islice, product
@@ -33,6 +32,7 @@ from .rational import (
     parse_scalars,
     scalar_strs,
 )
+from .records import Record, _set
 
 Matrix = Sequence[Sequence[Scalar]]
 
@@ -41,8 +41,7 @@ class ShapeError(CpdzipError):
     """Operands have inconsistent shapes."""
 
 
-@dataclass(frozen=True)
-class ExactTensor:
+class ExactTensor(Record):
     """Dense order-N tensor with equal mode sizes, row-major entries.
 
     Row-major means the flat index of (i_1, ..., i_N) is sum_j i_j * n^(N-j),
@@ -53,13 +52,15 @@ class ExactTensor:
     dim: int
     entries: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.dim**self.order:
+    def __init__(self, order: int, dim: int, entries: Sequence[Scalar]):
+        if len(entries) != dim**order:
             raise ShapeError(
-                f"order-{self.order} tensor of dim {self.dim} needs "
-                f"{self.dim ** self.order} entries, got {len(self.entries)}"
+                f"order-{order} tensor of dim {dim} needs "
+                f"{dim ** order} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "entries", tuple(self.entries))
+        _set(self, "order", order)
+        _set(self, "dim", dim)
+        _set(self, "entries", tuple(entries))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,18 +75,18 @@ def zero_tensor(order: int, dim: int) -> ExactTensor:
     return ExactTensor(order, dim, (0,) * dim**order)
 
 
-@dataclass(frozen=True)
-class FactorMatrix:
+class FactorMatrix(Record):
     """n x R matrix of mode ``mode`` (1-based); columns are component vectors."""
 
     mode: int
     rows: tuple[tuple[Scalar, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, mode: int, rows: Matrix):
+        rows = tuple(map(tuple, rows))
         if len(set(map(len, rows))) > 1:
             raise ShapeError("ragged factor matrix")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "mode", mode)
+        _set(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -102,20 +103,19 @@ class FactorMatrix:
         return [self.column(r) for r in range(self.r)]
 
 
-@dataclass(frozen=True)
-class FactorTuple:
+class FactorTuple(Record):
     """Ordered N-tuple of factor matrices with consistent n and R."""
 
     matrices: tuple[FactorMatrix, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        mats = self.matrices
+    def __init__(self, matrices: Sequence[FactorMatrix]):
+        mats = tuple(matrices)
         if not mats:
             raise ShapeError("empty factor tuple")
         n, r = mats[0].n, mats[0].r
         if any(x.n != n or x.r != r for x in mats):
             raise ShapeError("factor matrices disagree on n or R")
+        _set(self, "matrices", mats)
 
     @property
     def order(self) -> int:

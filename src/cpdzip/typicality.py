@@ -17,7 +17,6 @@ bits, a hard error is raised rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import chain, compress, product
@@ -30,6 +29,7 @@ from .model import (
     ModelSpec,
     entropy,
 )
+from .records import Record
 from .tensors import FactorMatrix, intern_tensors
 
 _FLOAT_MARGIN = 1e-6
@@ -44,8 +44,7 @@ class TypicalityParamsError(CpdzipError, ValueError):
     """Typicality parameters are out of their domain."""
 
 
-@dataclass(frozen=True)
-class TypicalityParams:
+class TypicalityParams(Record):
     """Slack gamma (nats per symbol, exact rational) and block length n."""
 
     gamma: Fraction
@@ -57,8 +56,7 @@ class TypicalityParams:
             raise TypicalityParamsError(f"gamma must be positive, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class TypeTable:
+class TypeTable(Record):
     """The typical tuples of column types of one mode (method of types):
     ``weights`` maps each (t_0, ..., t_{R-1}), t_r the symbol counts of column
     r, to the probability of its matrices as an int over ``denominator``.
@@ -73,20 +71,21 @@ class TypeTable:
         return Fraction(sum(self.weights.values()), self.denominator)
 
 
-@dataclass(frozen=True)
-class TypicalEnumeration:
+class TypicalEnumeration(Record):
     """The typical matrices of one mode, as their canonical positions.
 
     ``positions`` holds, ascending, each typical matrix's index in the
     full-space enumeration of the mode; ``mode_matrices`` reads the matrices
     at them, and ``SpaceTable.typical_ids`` reads a full-space table at them.
-    ``table`` is the type table the positions were read from.
+    ``table`` is the type table the positions were read from; it takes no
+    part in ``==`` or ``hash``.
     """
 
     mode: int
     positions: tuple[int, ...]
     space_size: int
-    table: TypeTable = field(compare=False)
+    table: TypeTable
+    _uncompared = ("table",)
 
     @property
     def count(self) -> int:
@@ -273,8 +272,7 @@ def check_space_budget(m: ModelSpec, budget: int, what: str) -> None:
         raise BudgetExceededError(total, budget, what)
 
 
-@dataclass(frozen=True)
-class SpaceTable:
+class SpaceTable(Record):
     """Every tuple of a tuple space with its tensor id, as ``intern_tensors``
     numbers them, and each id's packed key (``id_keys``, ``key_to_id``).
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -38,6 +37,7 @@ from cpdzip.model import (
     theoretical_threshold,
     uniform,
 )
+from cpdzip.records import replace
 from cpdzip.tensors import ExactTensor, ShapeError, cpd_compose, zero_tensor
 from cpdzip.typicality import TypicalityParams, typicality_mass
 

@@ -4,7 +4,10 @@ Each command runs in a new process, so its start-up is paid on every call:
 ``import cpdzip`` loads no module of the package, and no command loads mpmath
 or a module it does not call.  ``experiment`` loads only its kind's code:
 ``spectrum`` neither ``analysis`` nor ``codec``, ``full-rank`` and ``census``
-``analysis`` alone, ``threshold`` and ``codec-error`` ``codec`` alone.
+``analysis`` alone, ``threshold`` and ``codec-error`` ``codec`` alone.  No
+command loads ``dataclasses`` (nor ``inspect``, which it pulls in), only the
+commands that hash a model load ``hashlib``, and ``spectrum`` computes its
+statistics without ``statistics``.
 """
 
 import importlib
@@ -19,7 +22,7 @@ import pytest
 import cpdzip
 from cpdzip.analysis import cubic_sign_model, rank_one_sign_model
 from cpdzip.model import save_model, uniform
-from cpdzip.tensors import tensor_to_dict, zero_tensor
+from cpdzip.tensors import FactorMatrix, matrix_to_dict, tensor_to_dict, zero_tensor
 
 SRC = Path(cpdzip.__file__).parents[1]
 
@@ -106,6 +109,42 @@ def test_encode_and_decode_load_no_census_experiment_or_sampling_code(codec_file
         assert not loaded & unwanted, (argv[0], loaded & unwanted)
 
 
+@pytest.fixture
+def command_argvs(codec_files, tmp_path):
+    """A succeeding argv for every command but ``experiment``, in an order
+    where ``decode`` reads what ``encode`` wrote."""
+    model, tensor, code = map(str, codec_files)
+    cubic = tmp_path / "cubic.json"
+    save_model(cubic_sign_model(2, uniform(2), uniform(2)), cubic)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(matrix_to_dict(FactorMatrix(1, ((1, -1), (1, 1))))))
+    out = str(tmp_path / "out.json")
+    return {
+        "validate": ["validate", "--model", model],
+        "sample": ["sample", "--model", model, "--seed", "1", "--out", out],
+        "encode": ["encode", "--model", model, "--gamma", "1/10", "--input", tensor, "--out", code],
+        "decode": ["decode", "--model", model, "--input", code, "--out", out],
+        "codebook": ["codebook", "--model", model, "--gamma", "1/10", "--out", out],
+        "count": ["count", "--model", str(cubic), "--tensor", tensor, "--out", out],
+        "krank": ["krank", "--input", str(matrix), "--out", out],
+        "verify-examples": ["verify-examples", "--fast"],
+    }
+
+
+# The commands that hash a model (the codeword header's digest).
+HASHING = {"encode", "decode", "codebook"}
+
+
+def test_no_command_loads_dataclasses_and_only_the_codec_commands_load_hashlib(
+    command_argvs, tmp_path
+):
+    # -S, since a site-packages start-up hook may import any of these first.
+    for command, argv in command_argvs.items():
+        loaded = loaded_by("-S", "-m", "cpdzip.cli", *argv, cwd=tmp_path)
+        assert not loaded & {"dataclasses", "inspect"}, (command, loaded & {"dataclasses", "inspect"})
+        assert ("hashlib" in loaded) == (command in HASHING), command
+
+
 def test_count_loads_no_codec_or_experiment_code(tmp_path):
     model = tmp_path / "cubic.json"
     save_model(cubic_sign_model(2, uniform(2), uniform(2)), model)
@@ -143,10 +182,15 @@ def test_experiment_loads_only_its_kinds_code(tmp_path, kind):
     assert "cpdzip.experiments" in loaded
     assert wanted <= loaded, wanted - loaded
     assert not loaded & (unwanted | {"mpmath"}), loaded & (unwanted | {"mpmath"})
-    # Result files are written without tempfile.  A site-packages start-up hook
-    # (a .pth file) may import it before the command runs, so this run skips
+    # Result files are written without tempfile, no record loads dataclasses
+    # and no experiment hashes a model.  A site-packages start-up hook (a .pth
+    # file) may import any of them before the command runs, so this run skips
     # site (-S); the command needs nothing from site-packages.
-    assert "tempfile" not in loaded_by("-S", *argv, cwd=tmp_path)
+    bare = loaded_by("-S", *argv, cwd=tmp_path)
+    unwanted = {"tempfile", "dataclasses", "inspect", "hashlib"}
+    if kind == "spectrum":
+        unwanted.add("statistics")
+    assert not bare & unwanted, bare & unwanted
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
