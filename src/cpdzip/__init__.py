@@ -30,10 +30,10 @@ _EXPORTS = {
         "SchemeReport", "build_codebook", "build_decode_book", "codeword_from_bytes",
         "codeword_to_bytes", "decode", "encode", "measure_scheme",
     ),
+    "census": ("FactorizationCensus", "count_factorizations", "gamma_bound"),
     "analysis": (
-        "FactorizationCensus", "UniquenessCertificate", "UnsupportedModelError",
-        "bilinear_sign_model", "count_factorizations", "cubic_sign_model",
-        "exact_rank_deficiency_prob", "full_rank_prob_bound", "gamma_bound",
+        "UniquenessCertificate", "UnsupportedModelError", "bilinear_sign_model",
+        "cubic_sign_model", "exact_rank_deficiency_prob", "full_rank_prob_bound",
         "prob_zero_tensor", "rank_one_sign_model", "uniqueness_census",
         "verify_examples",
     ),

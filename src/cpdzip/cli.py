@@ -21,14 +21,6 @@ from .model import (
     validate,
 )
 from .rational import rational_str, to_fraction
-from .tensors import (
-    kruskal_rank,
-    matrix_from_dict,
-    matrix_to_dict,
-    rank_exact,
-    tensor_from_dict,
-    tensor_to_dict,
-)
 
 
 def _emit(payload, out: str | None) -> None:
@@ -51,8 +43,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .rng import DrawTable, draw_tuple, stream_rng
+    from .rng import MASTER_SEEDS, DrawTable, draw_tuple, stream_rng
+    from .tensors import matrix_to_dict
 
+    if args.seed not in MASTER_SEEDS:
+        raise CpdzipError(f"--seed must be in [0, 2^64), got {args.seed}")
     if args.count < 0:
         raise CpdzipError(f"--count must be non-negative, got {args.count}")
     m = load_model(args.model)
@@ -81,6 +76,7 @@ def _build(args):
 
 def _cmd_encode(args) -> int:
     from .codec import codeword_to_bytes, encode
+    from .tensors import tensor_from_dict
 
     cb = _build(args)
     tensor = tensor_from_dict(read_json(args.input))
@@ -91,6 +87,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     from .codec import build_decode_book, codeword_from_bytes, decode
+    from .tensors import tensor_to_dict
     from .typicality import TypicalityParams
 
     m = load_model(args.model)
@@ -128,6 +125,8 @@ def _cmd_codebook(args) -> int:
 
 
 def _census_payload(census, bound: int) -> dict:
+    from .tensors import matrix_to_dict
+
     return {
         "total_count": census.total_count,
         "full_rank_count": census.full_rank_count,
@@ -141,7 +140,8 @@ def _census_payload(census, bound: int) -> dict:
 
 
 def _cmd_count(args) -> int:
-    from .analysis import count_factorizations, gamma_bound
+    from .census import count_factorizations, gamma_bound
+    from .tensors import tensor_from_dict
 
     m = load_model(args.model)
     tensor = tensor_from_dict(read_json(args.tensor))
@@ -153,6 +153,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_krank(args) -> int:
+    from .tensors import kruskal_rank, matrix_from_dict, rank_exact
+
     x = matrix_from_dict(read_json(args.input))
     _emit({"rank": rank_exact(x.rows), "kruskal_rank": kruskal_rank(x.rows)}, args.out)
     return 0

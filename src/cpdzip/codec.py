@@ -49,16 +49,8 @@ from .tensors import (
     expand_modes,
     zero_tensor,
 )
-from .typicality import (
-    SpaceTable,
-    TypicalityParams,
-    TypicalEnumeration,
-    check_space_budget,
-    enumerate_typical,
-    intern_space,
-    mode_matrices,
-    space_table,
-)
+from .sweep import SpaceTable, check_space_budget, intern_space, mode_matrices, space_table
+from .typicality import TypicalityParams, TypicalEnumeration, enumerate_typical
 
 MAGIC = b"TCPD"
 VERSION = 1

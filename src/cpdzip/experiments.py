@@ -25,18 +25,16 @@ from .model import (
     DEFAULT_BUDGET,
     ModelSpec,
     load_model,
+    mode_space_size,
     theoretical_threshold,
 )
 from .rational import rational_str, to_fraction
 from .records import Record
-from .rng import DrawTable, draw_rows, stream_rng
-from .tensors import rank_exact, zero_tensor
+from .rng import MASTER_SEEDS, DrawTable, draw_rows, stream_rng
 from .typicality import (
     TypicalityParams,
     TypicalityParamsError,
     enumerate_typical,
-    mode_space_size,
-    space_table,
     spectrum_samples,
 )
 
@@ -75,6 +73,8 @@ class ExperimentConfig(Record):
             raise TypicalityParamsError(f"gamma_grid entries must be positive, got {least}")
         if self.trials < 1:
             raise DocumentError("trials must be >= 1")
+        if self.seed not in MASTER_SEEDS:
+            raise DocumentError(f"seed must be in [0, 2^64), got {self.seed}")
         if min(self.n_grid) < 1:
             raise DocumentError("n_grid entries must be >= 1")
         if self.budget < 1:
@@ -169,6 +169,7 @@ class FullRankEstimate(Record):
 def estimate_full_rank_prob(m: ModelSpec, trials: int, seed: int) -> list[FullRankEstimate]:
     """Monte-Carlo estimate of Pr{rank(X_i) = R} per mode with Wilson interval."""
     from .analysis import full_rank_prob_bound
+    from .tensors import rank_exact
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -308,12 +309,14 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> l
     the brute-force zero probability."""
     from .analysis import (
         UnsupportedModelError,
-        _count_in,
         _zero_prob,
         banded_rows_matrix_tensor,
         example_shape,
         prob_zero_tensor,
     )
+    from .census import _count_in
+    from .sweep import space_table
+    from .tensors import zero_tensor
 
     shape = example_shape(base)
     if shape is None:
@@ -343,7 +346,8 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> l
 
 # Each kind's row builder.  A builder takes the config, the model it names and
 # a dict that it fills with each n's samples if its kind draws any.  It imports
-# the analysis or codec names that it calls, so a run loads only its kind's code.
+# the analysis, census, codec, sweep or tensors names that it calls, so a run
+# loads only its kind's code.
 _ROW_BUILDERS = {
     "threshold": _rows_threshold,
     "full-rank": _rows_full_rank,
@@ -402,9 +406,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Run one experiment; writes <out>.csv and <out>.json atomically, then
     <out>.samples.csv if the kind draws samples and ``emit_samples`` is set.
 
-    Only the kind's row builder loads its code: ``spectrum`` loads neither
-    ``analysis`` nor ``codec``, ``full-rank`` and ``census`` load
-    ``analysis``, and ``threshold`` and ``codec-error`` load ``codec``."""
+    Only the kind's row builder loads its code: ``spectrum`` loads none of
+    ``analysis``, ``codec``, ``sweep`` and ``tensors``, ``full-rank`` and
+    ``census`` load ``analysis``, and ``threshold`` and ``codec-error`` load
+    ``codec``."""
     samples: _Samples = {}
     rows = _ROW_BUILDERS[cfg.kind](cfg, load_model(cfg.model_path), samples)
     paths = write_results(rows, cfg.out)

@@ -128,6 +128,11 @@ class ModelSpec(Record):
         )
 
 
+def mode_space_size(m: ModelSpec, mode: int) -> int:
+    """Number of matrices of mode ``mode``: |A|^(nR)."""
+    return m.alphabet(mode).size ** (m.dim * m.components)
+
+
 def validate(m: ModelSpec) -> list[str]:
     """Check every model invariant; returns all violations (empty list = ok)."""
     out: list[str] = []

@@ -6,7 +6,9 @@ PRNG contract (pinned; never change without a format-version bump):
   platform-independent for integer seeds.
 * The stream for trial t under master seed s is seeded with
   ``mix64(s XOR mix64(t + 1))`` where mix64 is the SplitMix64 finalizer, so
-  trials are reproducible under any execution order.
+  trials are reproducible under any execution order.  Master seeds are the
+  ints in [0, 2^64) (``MASTER_SEEDS``); the CLI and experiment configs
+  refuse any other.
 * Symbols are drawn by exact cumulative-rational inversion of a 64-bit
   uniform integer: with common denominator b, draws >= b * floor(2^64 / b)
   (the boundary slice) are rejected and redrawn, making every symbol
@@ -34,11 +36,17 @@ from bisect import bisect_right
 from functools import partial
 from itertools import chain, repeat
 from operator import mod
+from typing import TYPE_CHECKING
 
 from .model import CpdzipError, Distribution, ModelSpec
-from .tensors import FactorMatrix, FactorTuple, expand_modes
+
+if TYPE_CHECKING:
+    from .tensors import FactorMatrix, FactorTuple
 
 _MASK64 = (1 << 64) - 1
+# The master seeds: ``stream_seed`` reads 64 bits of one, so a seed outside
+# this range would share every stream with the seed it reduces to.
+MASTER_SEEDS = range(1 << 64)
 
 
 def mix64(x: int) -> int:
@@ -151,12 +159,16 @@ def draw_rows(table: DrawTable, rng: random.Random) -> list[list[tuple]]:
 def draw_tuple(table: DrawTable, rng: random.Random) -> FactorTuple:
     """One trial's factor tuple; a supersymmetric model's one matrix is
     replicated into every mode."""
+    from .tensors import FactorMatrix, FactorTuple, expand_modes  # a spectrum run loads no tensors
+
     mats = [FactorMatrix(mode, rows) for mode, rows in zip(table.modes, draw_rows(table, rng))]
     return FactorTuple(expand_modes(table.model, mats))
 
 
 def sample_matrix(m: ModelSpec, mode: int, rng: random.Random) -> FactorMatrix:
     """Sample one factor matrix; entries drawn column-major (pinned order)."""
+    from .tensors import FactorMatrix
+
     table = DrawTable(m, (mode,))
     return FactorMatrix(mode, draw_rows(table, rng)[0])
 

@@ -13,17 +13,16 @@ from cpdzip.analysis import (
     banded_rows_matrix_tensor,
     bilinear_sign_model,
     brute_force_zero_prob,
-    count_factorizations,
     cubic_census_classification,
     cubic_sign_model,
     cubic_sign_tensor,
     exact_rank_deficiency_prob,
     full_rank_prob_bound,
-    gamma_bound,
     prob_zero_tensor,
     rank_one_sign_model,
     uniqueness_census,
 )
+from cpdzip.census import count_factorizations, gamma_bound
 from cpdzip.codec import (
     build_codebook,
     codeword_from_bytes,

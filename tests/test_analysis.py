@@ -7,30 +7,36 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cpdzip import analysis
+from cpdzip import analysis, sweep
+from cpdzip import census as census_layer
 from cpdzip.analysis import (
     CheckRow,
-    PermScalingRelation,
     UnsupportedModelError,
-    WRelation,
     _full_rank_cogenerators,
     _tuple_sort_key,
     banded_rows_matrix_tensor,
     bilinear_sign_model,
     brute_force_zero_prob,
-    count_factorizations,
     cubic_census_classification,
     cubic_sign_model,
     cubic_sign_tensor,
     exact_rank_deficiency_prob,
-    find_perm_scaling,
-    find_w_relation,
     full_rank_prob_bound,
-    gamma_bound,
     prob_zero_tensor,
     rank_one_sign_model,
     uniqueness_census,
     verify_examples,
+)
+from cpdzip.census import (
+    PermScalingRelation,
+    WRelation,
+    _count_in,
+    _equivalence_classes,
+    _relation_to,
+    count_factorizations,
+    find_perm_scaling,
+    find_w_relation,
+    gamma_bound,
 )
 from cpdzip.model import (
     Alphabet,
@@ -41,6 +47,7 @@ from cpdzip.model import (
     uniform,
 )
 from cpdzip.rng import sample_tuple, stream_rng
+from cpdzip.sweep import space_table
 from cpdzip.tensors import (
     FactorMatrix,
     FactorTuple,
@@ -52,7 +59,6 @@ from cpdzip.tensors import (
     unfold,
     zero_tensor,
 )
-from cpdzip.typicality import space_table
 
 import linalg_oracle
 
@@ -541,14 +547,19 @@ def test_peeled_search_equals_the_brute_force_full_rank_set(instance):
 
 
 def count_calls(monkeypatch, *names) -> list:
-    """Record the arguments of each call to the named ``analysis`` functions."""
+    """Record the arguments of each call that ``analysis`` or ``census`` makes
+    to the named functions."""
     calls = []
     for name in names:
-        def counted(*args, _fn=getattr(analysis, name), _name=name):
+        fn = getattr(analysis, name, None) or getattr(census_layer, name)
+
+        def counted(*args, _fn=fn, _name=name):
             calls.append((_name, args))
             return _fn(*args)
 
-        monkeypatch.setattr(analysis, name, counted)
+        for module in (analysis, census_layer):
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -641,7 +652,8 @@ def test_census_builds_one_fraction_per_distinct_lambda(monkeypatch):
         built.append(args)
         return _fraction(*args)
 
-    monkeypatch.setattr(analysis, "Fraction", counted)
+    for module in (analysis, census_layer):
+        monkeypatch.setattr(module, "Fraction", counted)
     m = generic_sign_model(16)
     cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
     values = {lam for rel in cert.relations for lams in rel.lambdas for lam in lams}
@@ -875,7 +887,7 @@ def relation_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_perm_scaling_equals_the_fraction_check(instance):
     ref, others = instance
-    relate = analysis._relation_to(ref)  # one lambda memo across the others
+    relate = _relation_to(ref)  # one lambda memo across the others
     for other in others:
         expected = fraction_perm_scaling(ref, other)
         for rel in (find_perm_scaling(ref, other), relate(other)):
@@ -894,7 +906,7 @@ def test_relation_test_matches_a_shared_matrix_again_under_another_permutation()
     b = ((1, -1), (1, 1), (-1, -1))
     ref = FactorTuple((FactorMatrix(1, a), FactorMatrix(2, b), FactorMatrix(3, a)))
     swapped = FactorTuple((FactorMatrix(1, tuple((y, x) for x, y in a)),) + ref.matrices[1:])
-    relate = analysis._relation_to(ref)
+    relate = _relation_to(ref)
     assert relate(ref).permutation == (0, 1)
     assert find_perm_scaling(ref, swapped) is None
     assert relate(swapped) is None
@@ -932,12 +944,14 @@ FULL_RUN_ROWS = [
 ]
 
 
-def test_verify_examples_full_run_rows_are_pinned(monkeypatch):
+def test_verify_examples_full_run_rows_are_pinned(patch_everywhere):
     builds = []
-    build = analysis.space_table
-    monkeypatch.setattr(
-        analysis, "space_table", lambda m, *args: builds.append((m.order, m.dim)) or build(m, *args)
-    )
+
+    def counted(m, *args):
+        builds.append((m.order, m.dim))
+        return build(m, *args)
+
+    build = patch_everywhere(sweep, "space_table", counted)
     rows = verify_examples()
     assert [(r.name, r.observed, r.expected, r.ok) for r in rows] == FULL_RUN_ROWS
     # each space's table is built once and read by every check on it: the
@@ -967,7 +981,7 @@ def test_count_ranks_each_distinct_matrix_once_a_call(monkeypatch):
     calls = count_calls(monkeypatch, "rank_exact")
     m = bilinear_sign_model(3, U2, U2, U2, U2)
     space = space_table(m, 4096, "factorization census")
-    census = analysis._count_in(space, zero_tensor(2, 3), m)
+    census = _count_in(space, zero_tensor(2, 3), m)
     generators = list(space.tuples_with_id(space.key_to_id[zero_tensor(2, 3).key()]))
     distinct = {x.rows for mats in generators for x in mats}
     ranked = [args[0] for _, args in calls]
@@ -978,7 +992,7 @@ def test_count_ranks_each_distinct_matrix_once_a_call(monkeypatch):
     assert census.full_rank_tuples == census.classes == ()
     x = FactorMatrix(1, ((1, 1), (1, -1), (-1, 1)))
     y = FactorMatrix(2, ((1, -1), (1, 1), (-1, -1)))
-    census = analysis._count_in(space, cpd_compose([x, y]), m, full_rank_only=True)
+    census = _count_in(space, cpd_compose([x, y]), m, full_rank_only=True)
     full = [
         FactorTuple(mats)
         for mats in space.tuples_with_id(space.key_to_id[cpd_compose([x, y]).key()])
@@ -986,7 +1000,7 @@ def test_count_ranks_each_distinct_matrix_once_a_call(monkeypatch):
     ]
     assert census.full_rank_tuples == tuple(full) and census.full_rank_count == len(full) > 1
     assert census.representatives == tuple(full[:64])
-    assert census.classes == analysis._equivalence_classes(full)
+    assert census.classes == _equivalence_classes(full)
 
 
 def test_counts_on_a_shared_table_equal_count_factorizations():
@@ -1006,5 +1020,5 @@ def test_counts_on_a_shared_table_equal_count_factorizations():
         space = space_table(m, 1 << 16, "factorization census")  # the largest holds 2^16
         for t in tensors:
             for full_rank_only in (False, True):
-                shared = analysis._count_in(space, t, m, full_rank_only)
+                shared = _count_in(space, t, m, full_rank_only)
                 assert shared == count_factorizations(t, m, full_rank_only)

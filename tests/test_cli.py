@@ -214,8 +214,11 @@ def _experiment_config(model_file, tmp_path, **changes) -> Path:
         ({"n_grid": [2, 0]}, "n_grid entries must be >= 1"),
         ({"budget": 0}, "budget must be >= 1"),
         ({"out": "."}, "out must name a file, got '.'"),
+        ({"seed": -1}, "seed must be in [0, 2^64), got -1"),
+        ({"seed": 1 << 64}, f"seed must be in [0, 2^64), got {1 << 64}"),
     ],
-    ids=["kind", "n_grid", "gamma_grid", "gamma", "trials", "n_entry", "budget", "out"],
+    ids=["kind", "n_grid", "gamma_grid", "gamma", "trials", "n_entry", "budget", "out",
+         "seed_negative", "seed_2_64"],
 )
 def test_every_config_refusal_prints_one_malformed_config_prefix(
     model_file, tmp_path, capsys, changes, message
@@ -272,6 +275,30 @@ def test_sample_refuses_a_negative_count(model_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 65) - 1])
+def test_sample_refuses_a_seed_outside_64_bits_before_drawing(model_file, tmp_path, capsys, seed):
+    # stream_seed reads the low 64 bits, so each of these seeds would repeat
+    # the streams of the seed it reduces to (2^64 - 1, 0, 2^64 - 1)
+    out = tmp_path / "samples.json"
+    argv = ["sample", "--model", str(model_file), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: --seed must be in [0, 2^64), got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_sample_and_experiment_accept_the_ends_of_the_seed_range(
+    model_file, tmp_path, capsys, seed
+):
+    assert main(["sample", "--model", str(model_file), "--seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == seed
+    path = _experiment_config(model_file, tmp_path, kind="spectrum", trials=2, seed=seed)
+    assert main(["experiment", "--config", str(path)]) == 0
+    csv_path = Path(capsys.readouterr().out.splitlines()[0])
+    assert csv_path.read_text().splitlines()[1].split(",")[9] == str(seed)
 
 
 def test_sample_count_zero_gives_no_tuples(model_file, capsys):

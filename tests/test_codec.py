@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdzip import codec, typicality
+from cpdzip import codec, sweep, typicality
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
 from cpdzip.cli import main
 from cpdzip.codec import (
@@ -346,7 +346,8 @@ def test_measure_scheme_builds_no_decode_book_or_matrix(m, gamma, monkeypatch):
     expected = measure_scheme(m, p)
     with monkeypatch.context() as patch:
         patch.setattr(codec, "build_decode_book", _never)
-        patch.setattr(codec, "mode_matrices", _never)
+        for module in (codec, sweep):  # every module that binds mode_matrices
+            patch.setattr(module, "mode_matrices", _never)
         assert measure_scheme(m, p) == expected
     if expected.codebook_size == 1:  # the empty codebook's fallback is the zero tensor
         assert build_decode_book(m, p).fallback_tensor == zero_tensor(m.order, m.dim)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpdzip import analysis, experiments
+from cpdzip import sweep
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
 from cpdzip.experiments import ExperimentConfig, run_experiment
 from cpdzip.model import Alphabet, Distribution, ModelSpec, save_model, uniform
@@ -109,14 +109,13 @@ def test_result_files_match_their_golden_digests(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[2] == "census"], ids=lambda c: c[0])
-def test_census_builds_one_table_per_grid_point(tmp_path, monkeypatch, case):
+def test_census_builds_one_table_per_grid_point(tmp_path, patch_everywhere, case):
     built = []
 
-    def counted(m, budget, what, _build=experiments.space_table):
+    def counted(m, budget, what):
         built.append(m.dim)
-        return _build(m, budget, what)
+        return build(m, budget, what)
 
-    for module in (analysis, experiments):
-        monkeypatch.setattr(module, "space_table", counted)
+    build = patch_everywhere(sweep, "space_table", counted)
     assert run_case(tmp_path, *case) == DIGESTS[case[0]]
     assert built == list(case[3])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cpdzip.analysis import rank_one_sign_model
+from cpdzip.census import PermScalingRelation
 from cpdzip.codec import Codebook, Codeword, DecodeBook, build_codebook
 from cpdzip.model import ModelSpec, uniform
 from cpdzip.records import Record, replace
@@ -54,6 +55,7 @@ def test_a_bad_field_list_is_a_type_error(args, kwargs):
     FactorMatrix(1, ((1, -1),)),
     Codeword(3, 1, 2, Fraction(1, 10), bytes(32), 0, 5),
     rank_one_sign_model(2, 3, [uniform(2)] * 3),
+    PermScalingRelation(FactorTuple((FactorMatrix(1, ((1,),)),)), (0,), ((Fraction(1),),)),
 ])
 def test_assigning_or_deleting_any_attribute_raises(record):
     name = record._fields[0]
@@ -125,4 +127,19 @@ def test_repr_reads_as_the_dataclass_text():
     m = ModelSpec(1, 1, 1, [], [])
     assert repr(m) == (
         "ModelSpec(order=1, dim=1, components=1, alphabets=(), dists=(), supersymmetric=False)"
+    )
+
+
+def test_a_relation_built_by_its_own_init_is_the_record_the_generic_one_built():
+    # PermScalingRelation writes its fields itself, as the census builds one
+    # per related tuple; equality, hash, repr and replace stay the record's
+    other = FactorTuple((FactorMatrix(1, ((1, -1),)), FactorMatrix(2, ((-1, 1),))))
+    rel = PermScalingRelation(other, (1, 0), ((Fraction(1), Fraction(-1)),) * 2)
+    assert vars(rel) == {"other": other, "permutation": (1, 0), "lambdas": rel.lambdas}
+    assert rel == PermScalingRelation(other=other, permutation=(1, 0), lambdas=rel.lambdas)
+    assert hash(rel) == hash((other, (1, 0), rel.lambdas))
+    assert replace(rel) == rel and replace(rel, permutation=(0, 1)) != rel
+    assert repr(rel) == (
+        f"PermScalingRelation(other={other!r}, permutation=(1, 0), "
+        "lambdas=((Fraction(1, 1), Fraction(-1, 1)), (Fraction(1, 1), Fraction(-1, 1))))"
     )

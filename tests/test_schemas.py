@@ -198,3 +198,12 @@ def test_experiment_schema_names_the_parsers_kinds_and_fields():
     schema = EXPERIMENT_SCHEMA.schema
     assert tuple(schema["properties"]["kind"]["enum"]) == KINDS
     assert tuple(schema["properties"]) == _CONFIG_FIELDS
+
+
+@pytest.mark.parametrize("seed", [-1, 0, (1 << 64) - 1, 1 << 64])
+def test_schema_and_parser_agree_on_the_seed_range(tmp_path, seed):
+    in_range = 0 <= seed < 1 << 64
+    for base in EXPERIMENT_DOCS:
+        doc = dict(base, seed=seed)
+        assert EXPERIMENT_SCHEMA.is_valid(doc) == in_range
+        assert parser_accepts_experiment(doc, tmp_path / "cfg.json") == in_range

@@ -2,12 +2,13 @@
 
 Each command runs in a new process, so its start-up is paid on every call:
 ``import cpdzip`` loads no module of the package, and no command loads mpmath
-or a module it does not call.  ``experiment`` loads only its kind's code:
-``spectrum`` neither ``analysis`` nor ``codec``, ``full-rank`` and ``census``
-``analysis`` alone, ``threshold`` and ``codec-error`` ``codec`` alone.  No
-command loads ``dataclasses`` (nor ``inspect``, which it pulls in), only the
-commands that hash a model load ``hashlib``, and ``spectrum`` computes its
-statistics without ``statistics``.
+or a module it does not call.  ``count`` loads the census and the sweep engine
+but neither ``analysis`` nor ``typicality``.  ``experiment`` loads only its
+kind's code: ``spectrum`` none of ``analysis``, ``codec``, ``sweep`` and
+``tensors``, ``full-rank`` and ``census`` ``analysis`` alone, ``threshold``
+and ``codec-error`` ``codec`` alone.  No command loads ``dataclasses`` (nor
+``inspect``, which it pulls in), only the commands that hash a model load
+``hashlib``, and ``spectrum`` computes its statistics without ``statistics``.
 """
 
 import importlib
@@ -51,10 +52,10 @@ EXPORTS = {
         "SchemeReport", "build_codebook", "build_decode_book", "codeword_from_bytes",
         "codeword_to_bytes", "decode", "encode", "measure_scheme",
     ),
+    "census": ("FactorizationCensus", "count_factorizations", "gamma_bound"),
     "analysis": (
-        "FactorizationCensus", "UniquenessCertificate", "UnsupportedModelError",
-        "bilinear_sign_model", "count_factorizations", "cubic_sign_model",
-        "exact_rank_deficiency_prob", "full_rank_prob_bound", "gamma_bound",
+        "UniquenessCertificate", "UnsupportedModelError", "bilinear_sign_model",
+        "cubic_sign_model", "exact_rank_deficiency_prob", "full_rank_prob_bound",
         "prob_zero_tensor", "rank_one_sign_model", "uniqueness_census",
         "verify_examples",
     ),
@@ -105,7 +106,8 @@ def test_encode_and_decode_load_no_census_experiment_or_sampling_code(codec_file
     for argv in (encode, decode):
         loaded = loaded_by("-m", "cpdzip.cli", *argv, cwd=tmp_path)
         assert "cpdzip.codec" in loaded
-        unwanted = {"mpmath", "cpdzip.analysis", "cpdzip.experiments", "cpdzip.rng"}
+        unwanted = {"mpmath", "cpdzip.analysis", "cpdzip.census", "cpdzip.experiments",
+                    "cpdzip.rng"}
         assert not loaded & unwanted, (argv[0], loaded & unwanted)
 
 
@@ -152,14 +154,16 @@ def test_count_loads_no_codec_or_experiment_code(tmp_path):
     tensor.write_text(json.dumps(tensor_to_dict(zero_tensor(3, 2))))
     argv = ["count", "--model", str(model), "--tensor", str(tensor), "--out", str(tmp_path / "c.json")]
     loaded = loaded_by("-m", "cpdzip.cli", *argv, cwd=tmp_path)
-    assert "cpdzip.analysis" in loaded
-    unwanted = {"mpmath", "cpdzip.codec", "cpdzip.experiments"}
+    assert {"cpdzip.census", "cpdzip.sweep"} <= loaded
+    # the census needs no certificate, example check or typicality decision
+    unwanted = {"mpmath", "cpdzip.analysis", "cpdzip.typicality", "cpdzip.codec",
+                "cpdzip.experiments"}
     assert not loaded & unwanted, loaded & unwanted
 
 
 # The package modules that each experiment kind loads and must not load.
 KIND_MODULES = {
-    "spectrum": (set(), {"cpdzip.analysis", "cpdzip.codec"}),
+    "spectrum": (set(), {"cpdzip.analysis", "cpdzip.codec", "cpdzip.sweep", "cpdzip.tensors"}),
     "threshold": ({"cpdzip.codec"}, {"cpdzip.analysis"}),
     "codec-error": ({"cpdzip.codec"}, {"cpdzip.analysis"}),
     "full-rank": ({"cpdzip.analysis"}, {"cpdzip.codec"}),

@@ -19,8 +19,16 @@ from hypothesis import strategies as st
 from cpdzip import codec, tensors
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
 from cpdzip.codec import build_decode_book, measure_scheme
-from cpdzip.model import Alphabet, BudgetExceededError, Distribution, ModelSpec, uniform
+from cpdzip.model import (
+    Alphabet,
+    BudgetExceededError,
+    Distribution,
+    ModelSpec,
+    mode_space_size,
+    uniform,
+)
 from cpdzip.rational import pack_scalars
+from cpdzip.sweep import intern_space, iter_mode_matrices, space_table
 from cpdzip.tensors import (
     ExactTensor,
     FactorMatrix,
@@ -29,14 +37,7 @@ from cpdzip.tensors import (
     cpd_compose,
     zero_tensor,
 )
-from cpdzip.typicality import (
-    TypicalityParams,
-    intern_space,
-    iter_mode_matrices,
-    matrix_probability,
-    mode_space_size,
-    space_table,
-)
+from cpdzip.typicality import TypicalityParams, matrix_probability
 
 U2 = uniform(2)
 SKEWED = Distribution((Fraction(1, 4), Fraction(3, 4)))

@@ -16,20 +16,19 @@ from cpdzip.model import (
     Distribution,
     ModelSpec,
     entropy,
+    mode_space_size,
     theoretical_threshold,
     uniform,
 )
+from cpdzip.sweep import iter_mode_matrices, mode_matrices
 from cpdzip.tensors import FactorMatrix
 from cpdzip.typicality import (
     TypicalityParams,
     TypicalityUndecidableError,
     enumerate_typical,
     is_typical_matrix,
-    iter_mode_matrices,
     log_prob_matrix,
     matrix_probability,
-    mode_matrices,
-    mode_space_size,
     spectrum_samples,
     typicality_mass,
 )
@@ -355,15 +354,16 @@ def test_type_path_matches_oracle_on_the_interval_boundary(monkeypatch):
     assert enum.count == 2485
 
 
-def test_typicality_mass_counts_type_tuples_not_the_mode_space(monkeypatch):
+def test_typicality_mass_counts_type_tuples_not_the_mode_space(patch_everywhere):
+    import cpdzip.sweep as sweep
     import cpdzip.typicality as typicality
 
     def forbidden(*args, **kwargs):
         raise AssertionError("typicality_mass must not enumerate matrices")
 
-    monkeypatch.setattr(typicality, "iter_mode_matrices", forbidden)
-    monkeypatch.setattr(typicality, "mode_matrices", forbidden)
-    monkeypatch.setattr(typicality, "enumerate_typical", forbidden)
+    patch_everywhere(sweep, "iter_mode_matrices", forbidden)
+    patch_everywhere(sweep, "mode_matrices", forbidden)
+    patch_everywhere(typicality, "enumerate_typical", forbidden)
     m = one_mode_model(4, SIGN, SKEWED_PAIR)  # 5 column types, 25 type tuples, 256 matrices
     p = TypicalityParams(Fraction(1, 10), 4)
     with pytest.raises(BudgetExceededError) as exc:
@@ -372,8 +372,8 @@ def test_typicality_mass_counts_type_tuples_not_the_mode_space(monkeypatch):
     assert 0 < typicality_mass(m, p, 1, budget=25) < 1
 
 
-def test_enumerations_and_masses_build_no_factor_matrix(monkeypatch):
-    import cpdzip.typicality as typicality
+def test_enumerations_and_masses_build_no_factor_matrix(patch_everywhere):
+    import cpdzip.tensors as tensors
 
     cases = [
         (one_mode_model(6, SIGN, SKEWED_PAIR), Fraction(1, 10)),
@@ -395,7 +395,7 @@ def test_enumerations_and_masses_build_no_factor_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an enumeration or a mass built a factor matrix")
 
-    monkeypatch.setattr(typicality, "FactorMatrix", forbidden)
+    patch_everywhere(tensors, "FactorMatrix", forbidden)
     assert outputs() == expected
 
 
