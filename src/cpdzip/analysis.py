@@ -53,6 +53,7 @@ from .tensors import (
     ExactTensor,
     FactorMatrix,
     FactorTuple,
+    cpd_compose,
     outer_product,
     pivot_rows,
     rank_exact,
@@ -364,41 +365,33 @@ def example_shape(m: ModelSpec) -> str | None:
     return None
 
 
-def _sign_dist_value(d: Distribution, symbol: int) -> Fraction:
-    return d.probs[0] if symbol == -1 else d.probs[1]
+def _agreement(p: Distribution, q: Distribution, sign: int) -> Fraction:
+    """Pr{b = sign * a} for independent a ~ ``p`` and b ~ ``q`` over {-1, 1}:
+    the probabilities aligned with the ascending alphabet, ``q``'s reversed
+    for the opposite sign."""
+    return sum(map(mul, p.probs, q.probs[::sign]))
 
 
 def prob_zero_tensor(m: ModelSpec) -> Fraction:
     """Exact probability of composing the all-zero tensor, closed form.
 
-    Supported shapes: the supersymmetric order-3 two-component sign model
-    (single bracket raised to n) and the order-2 two-component sign model
-    (two-term sum).  Anything else is refused rather than generalized.
+    Supported shapes: the supersymmetric order-3 two-component sign model,
+    zero exactly when its second column is minus its first (the bracket
+    Pr{b = -a}, raised to n), and the order-2 two-component sign model
+    x y^T + u v^T, zero exactly when u = x and v = -y or u = -x and v = y
+    (the two terms (same * opposite)^n and (opposite * same)^n).  Anything
+    else is refused rather than generalized.
     """
     shape = example_shape(m)
+    n = m.dim
     if shape == "cubic":
         p, q = m.dists[0]
-        s = sum(
-            _sign_dist_value(p, a) * _sign_dist_value(q, -a) for a in SIGN_SYMBOLS
-        )
-        return s**m.dim
+        return _agreement(p, q, -1) ** n
     if shape == "bilinear":
-        px, pu = m.dists[0]
-        py, pv = m.dists[1]
-        same_xu = sum(
-            _sign_dist_value(px, a) * _sign_dist_value(pu, a) for a in SIGN_SYMBOLS
-        )
-        opp_xu = sum(
-            _sign_dist_value(px, a) * _sign_dist_value(pu, -a) for a in SIGN_SYMBOLS
-        )
-        same_yv = sum(
-            _sign_dist_value(py, a) * _sign_dist_value(pv, a) for a in SIGN_SYMBOLS
-        )
-        opp_yv = sum(
-            _sign_dist_value(py, a) * _sign_dist_value(pv, -a) for a in SIGN_SYMBOLS
-        )
-        n = m.dim
-        return same_xu**n * opp_yv**n + opp_xu**n * same_yv**n
+        (px, pu), (py, pv) = m.dists
+        return (_agreement(px, pu, 1) * _agreement(py, pv, -1)) ** n + (
+            _agreement(px, pu, -1) * _agreement(py, pv, 1)
+        ) ** n
     raise UnsupportedModelError(
         "closed-form zero-tensor probability is only defined for the two "
         "documented example shapes"
@@ -471,10 +464,7 @@ def cubic_sign_tensor(a1, a2) -> ExactTensor:
     """Compose the supersymmetric order-3 tensor of X = [a1, a2]."""
     n = len(a1)
     rows = tuple((a1[j], a2[j]) for j in range(n))
-    mats = replicate(FactorMatrix(1, rows), 3)
-    from .tensors import cpd_compose
-
-    return cpd_compose(FactorTuple(mats))
+    return cpd_compose(FactorTuple(replicate(FactorMatrix(1, rows), 3)))
 
 
 def banded_rows_matrix_tensor(n: int, m_rows: int) -> ExactTensor:
@@ -500,11 +490,7 @@ def bilinear_census_summary(n: int, budget: int = DEFAULT_BUDGET) -> dict[int, i
     return dict(Counter(groups.values()))
 
 
-def _count_check(name, observed: int, expected: int) -> CheckRow:
-    return CheckRow(name, str(observed), str(expected), observed == expected)
-
-
-def _prob_check(name, observed: Fraction, expected: Fraction) -> CheckRow:
+def _check(name, observed, expected) -> CheckRow:
     return CheckRow(name, str(observed), str(expected), observed == expected)
 
 
@@ -539,9 +525,7 @@ def _classify_cubic(space: SpaceTable, n: int) -> list[CheckRow]:
         if len(generators) != expected:
             all_ok = False
             rows.append(
-                _count_check(
-                    f"order3-census n={n} pattern zeros={zeros}", len(generators), expected
-                )
+                _check(f"order3-census n={n} pattern zeros={zeros}", len(generators), expected)
             )
     rows.append(
         CheckRow(
@@ -582,7 +566,7 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
         space = space_table(m, budget, "factorization census")
         # order-3 supersymmetric zero-tensor count = 2^n
         count = _count_in(space, zero_tensor(3, n), m).total_count
-        zero3.append(_count_check(f"order3 zero-tensor count n={n}", count, 2**n))
+        zero3.append(_check(f"order3 zero-tensor count n={n}", count, 2**n))
         if n == (3 if fast else 4):  # one nonzero diagonal sum -> 2, none zero -> 1
             ones = (1,) * n
             for label, t, expected in (
@@ -590,7 +574,7 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
                 ("unique", cubic_sign_tensor(ones, ones), 1),
             ):
                 count = _count_in(space, t, m).total_count
-                trichotomy.append(_count_check(f"order3 {label} count n={n}", count, expected))
+                trichotomy.append(_check(f"order3 {label} count n={n}", count, expected))
         if n == 3:  # exhaustive classification of every tensor
             classification.extend(_classify_cubic(space, n))
         if n <= (2 if fast else 3):  # closed-form zero probabilities equal brute force
@@ -598,7 +582,7 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
                 (f"order3 zero-prob uniform n={n}", m),
                 (f"order3 zero-prob skewed n={n}", cubic_sign_model(n, skew_p, skew_q)),
             ):
-                prob3.append(_prob_check(label, prob_zero_tensor(model), _zero_prob(space, model)))
+                prob3.append(_check(label, prob_zero_tensor(model), _zero_prob(space, model)))
         del space  # not alive while the next table is built
 
     for n in (2, 4) if fast else (2, 3, 4):
@@ -606,16 +590,15 @@ def verify_examples(fast: bool = False, budget: int = DEFAULT_BUDGET) -> list[Ch
         space = space_table(m, budget, "factorization census")
         if n < 4:  # order-2 zero-matrix count = 2^(2n+1)
             count = _count_in(space, zero_tensor(2, n), m).total_count
-            zero2.append(_count_check(f"order2 zero-matrix count n={n}", count, 2 ** (2 * n + 1)))
+            zero2.append(_check(f"order2 zero-matrix count n={n}", count, 2 ** (2 * n + 1)))
         if n == 2:
             observed = _zero_prob(space, m)
-            prob2.append(_prob_check(f"order2 zero-prob uniform n={n}", prob_zero_tensor(m),
-                                     observed))
+            prob2.append(_check(f"order2 zero-prob uniform n={n}", prob_zero_tensor(m), observed))
         if n == 4:  # order-2 banded construction count = 2^(n-m+2), one table for every m
             for m_rows in (3,) if fast else (1, 2, 3):
                 count = _count_in(space, banded_rows_matrix_tensor(n, m_rows), m).total_count
-                banded.append(_count_check(f"order2 banded count n={n} m={m_rows}", count,
-                                           2 ** (n - m_rows + 2)))
+                banded.append(_check(f"order2 banded count n={n} m={m_rows}", count,
+                                     2 ** (n - m_rows + 2)))
         del space
 
     return zero3 + trichotomy + classification + zero2 + banded + prob3 + prob2

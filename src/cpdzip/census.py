@@ -32,7 +32,7 @@ from .model import (
     DEFAULT_BUDGET,
     ModelSpec,
 )
-from .rational import Scalar
+from .rational import Scalar, over_common_denominator
 from .records import Record, _set
 from .sweep import SpaceTable, space_table
 from .tensors import (
@@ -326,12 +326,10 @@ def _symbol_ratios(alphabet: Alphabet) -> set[tuple[int, int]]:
     """Every ratio b / a of nonzero symbols, the scalings one column can
     take, as reduced int pairs (num, den > 0).
 
-    The symbols are first scaled by the lcm of their denominators, which
-    leaves every ratio as it is and makes them ints.
+    The symbols are first put over their common denominator, which leaves
+    every ratio as it is and makes them ints.
     """
-    nonzero = [s for s in alphabet.symbols if s != 0]
-    lcm = math.lcm(*(s.denominator for s in nonzero))
-    ints = [s.numerator * (lcm // s.denominator) for s in nonzero]
+    ints, _ = over_common_denominator([s for s in alphabet.symbols if s != 0])
     return {_reduced(b, a) for a in ints for b in ints}
 
 

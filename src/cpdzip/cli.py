@@ -43,10 +43,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .rng import MASTER_SEEDS, DrawTable, draw_tuple, stream_rng
+    from .rng import DrawTable, draw_tuple, is_master_seed, stream_rng
     from .tensors import matrix_to_dict
 
-    if args.seed not in MASTER_SEEDS:
+    if not is_master_seed(args.seed):
         raise CpdzipError(f"--seed must be in [0, 2^64), got {args.seed}")
     if args.count < 0:
         raise CpdzipError(f"--count must be non-negative, got {args.count}")
@@ -111,7 +111,7 @@ def _cmd_codebook(args) -> int:
         "threshold_per_n": cb.log_size_nats / cb.model.dim,
     }
     if args.stats:
-        masses = [e.table.mass for e in cb.enums]
+        masses = [e.mass for e in cb.enums]
         stats["typical_counts"] = [e.count for e in cb.enums]
         stats["typicality_mass"] = [rational_str(x) for x in masses]
         stats["mass_meets_1_minus_gamma"] = [

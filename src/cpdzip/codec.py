@@ -49,7 +49,14 @@ from .tensors import (
     expand_modes,
     zero_tensor,
 )
-from .sweep import SpaceTable, check_space_budget, intern_space, mode_matrices, space_table
+from .sweep import (
+    SpaceTable,
+    check_space_budget,
+    intern_space,
+    mode_matrices,
+    space_table,
+    unrank,
+)
 from .typicality import TypicalityParams, TypicalEnumeration, enumerate_typical
 
 MAGIC = b"TCPD"
@@ -129,13 +136,7 @@ class DecodeBook(Record):
         """The typical matrix of each independent mode at a lexicographic index."""
         if not 0 <= index < self.tuple_count:
             raise DecodeError(f"tuple index {index} out of range [0, {self.tuple_count})")
-        mats = []
-        rem = index
-        for typical in reversed(self.matrices):
-            rem, pos = divmod(rem, len(typical))
-            mats.append(typical[pos])
-        mats.reverse()
-        return mats
+        return unrank(self.matrices, index)
 
 
 class Codebook(DecodeBook):
@@ -375,7 +376,7 @@ def measure_scheme(
         decodable_ids = set() if zero is None else {zero}
     error = 1 - Fraction(sum(map(numerators.__getitem__, decodable_ids)), denominator)
 
-    masses = tuple(e.table.mass for e in enums)
+    masses = tuple(e.mass for e in enums)
     mass_bound = 1 - math.prod(masses, start=Fraction(1))
     size = math.prod(e.count for e in enums) + 1
     return SchemeReport(

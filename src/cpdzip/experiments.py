@@ -29,8 +29,8 @@ from .model import (
     theoretical_threshold,
 )
 from .rational import rational_str, to_fraction
-from .records import Record
-from .rng import MASTER_SEEDS, DrawTable, draw_rows, stream_rng
+from .records import Record, replace
+from .rng import DrawTable, draw_rows, is_master_seed, stream_rng
 from .typicality import (
     TypicalityParams,
     TypicalityParamsError,
@@ -73,7 +73,7 @@ class ExperimentConfig(Record):
             raise TypicalityParamsError(f"gamma_grid entries must be positive, got {least}")
         if self.trials < 1:
             raise DocumentError("trials must be >= 1")
-        if self.seed not in MASTER_SEEDS:
+        if not is_master_seed(self.seed):
             raise DocumentError(f"seed must be in [0, 2^64), got {self.seed}")
         if min(self.n_grid) < 1:
             raise DocumentError("n_grid entries must be >= 1")
@@ -233,7 +233,7 @@ def _rows_threshold(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -
 
     rows = []
     for n in cfg.n_grid:
-        m = base.with_dim(n)
+        m = replace(base, dim=n)
         for gamma in cfg.gamma_grid:
             p = TypicalityParams(gamma, n)
             with _grid_point(cfg, n, gamma):
@@ -250,7 +250,7 @@ def _rows_codec_error(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples)
 
     rows = []
     for n in cfg.n_grid:
-        m = base.with_dim(n)
+        m = replace(base, dim=n)
         for gamma in cfg.gamma_grid:
             with _grid_point(cfg, n, gamma):
                 report = measure_scheme(m, TypicalityParams(gamma, n), cfg.budget)
@@ -278,7 +278,7 @@ def _rows_spectrum(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) ->
     """Spectrum rows; each n's samples are stored in ``samples``."""
     rows = []
     for n in cfg.n_grid:
-        m = base.with_dim(n)
+        m = replace(base, dim=n)
         xs = samples[n] = spectrum_samples(m, cfg.trials, cfg.seed)
         mean = math.fsum(xs) / len(xs)  # statistics.fmean's arithmetic on a list
         var = _pvariance(xs, mean)
@@ -294,7 +294,7 @@ def _rows_full_rank(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -
 
     rows = []
     for n in cfg.n_grid:
-        m = base.with_dim(n)
+        m = replace(base, dim=n)
         for est in estimate_full_rank_prob(m, cfg.trials, cfg.seed):
             exact = None
             if mode_space_size(m, est.mode) <= min(cfg.budget, 1 << 16):
@@ -325,7 +325,7 @@ def _rows_census(cfg: ExperimentConfig, base: ModelSpec, samples: _Samples) -> l
         )
     rows = []
     for n in cfg.n_grid:
-        m = base.with_dim(n)
+        m = replace(base, dim=n)
         with _grid_point(cfg, n):
             space = space_table(m, cfg.budget, "factorization census")
         census = _count_in(space, zero_tensor(m.order, n), m)

@@ -122,11 +122,6 @@ class ModelSpec(Record):
         """Distribution of column ``column`` (0-based) in mode ``mode`` (1-based)."""
         return self.dists[mode - 1][column]
 
-    def with_dim(self, n: int) -> "ModelSpec":
-        return ModelSpec(
-            self.order, n, self.components, self.alphabets, self.dists, self.supersymmetric
-        )
-
 
 def mode_space_size(m: ModelSpec, mode: int) -> int:
     """Number of matrices of mode ``mode``: |A|^(nR)."""

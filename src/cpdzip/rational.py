@@ -9,6 +9,7 @@ tensors and matrices built from their output need no further normalization.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import itemgetter
@@ -119,6 +120,13 @@ def scalar_strs(values: Sequence[Scalar]) -> list[str]:
     if len(values) < 2:  # itemgetter of one key returns it bare, of none raises
         return [table[v] for v in values]
     return list(itemgetter(*values)(table))
+
+
+def over_common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """``(nums, d)``: ``values`` as int numerators over ``d``, the least
+    common denominator of them all, so ``values[i] == nums[i] / d``."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def compact(value: Scalar) -> Scalar:

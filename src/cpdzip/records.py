@@ -25,7 +25,6 @@ class Record:
 
     Fields are the annotated names of the class and of its ``Record`` bases,
     bases first; a class attribute named after a field is its default.
-    Fields named in ``_uncompared`` take no part in ``==`` or ``hash``.
     Records of different classes are never equal.
 
     ``__init__`` takes the fields positionally or by name, writes each with
@@ -35,8 +34,6 @@ class Record:
     Instances keep a ``__dict__`` holding exactly their fields.
     """
 
-    _uncompared: tuple = ()
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields: list[str] = []
@@ -44,10 +41,9 @@ class Record:
             fields += [n for n in klass.__dict__.get("__annotations__", ()) if n not in fields]
         cls._fields = tuple(fields)
         cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
-        compared = [n for n in fields if n not in cls._uncompared]
-        get = attrgetter(*compared)
+        get = attrgetter(*fields)
         # The key is always a tuple, so a record hashes as its dataclass did.
-        cls._key = get if len(compared) > 1 else staticmethod(lambda record: (get(record),))
+        cls._key = get if len(fields) > 1 else staticmethod(lambda record: (get(record),))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

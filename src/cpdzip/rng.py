@@ -7,8 +7,9 @@ PRNG contract (pinned; never change without a format-version bump):
 * The stream for trial t under master seed s is seeded with
   ``mix64(s XOR mix64(t + 1))`` where mix64 is the SplitMix64 finalizer, so
   trials are reproducible under any execution order.  Master seeds are the
-  ints in [0, 2^64) (``MASTER_SEEDS``); the CLI and experiment configs
-  refuse any other.
+  ints in [0, 2^64) (``is_master_seed``): ``stream_seed``, and so every
+  library entry point that draws, refuses any other with a ``CpdzipError``,
+  and the CLI and experiment configs refuse it before any work.
 * Symbols are drawn by exact cumulative-rational inversion of a 64-bit
   uniform integer: with common denominator b, draws >= b * floor(2^64 / b)
   (the boundary slice) are rejected and redrawn, making every symbol
@@ -29,24 +30,28 @@ state.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from bisect import bisect_right
 from functools import partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import mod
 from typing import TYPE_CHECKING
 
 from .model import CpdzipError, Distribution, ModelSpec
+from .rational import over_common_denominator
 
 if TYPE_CHECKING:
     from .tensors import FactorMatrix, FactorTuple
 
 _MASK64 = (1 << 64) - 1
-# The master seeds: ``stream_seed`` reads 64 bits of one, so a seed outside
-# this range would share every stream with the seed it reduces to.
-MASTER_SEEDS = range(1 << 64)
+
+
+def is_master_seed(seed) -> bool:
+    """Whether ``seed`` is a master seed, an int in [0, 2^64).  ``stream_seed``
+    reads 64 bits of one, so a seed outside this range would share every
+    stream with the seed it reduces to."""
+    return type(seed) is int and 0 <= seed < 1 << 64
 
 
 def mix64(x: int) -> int:
@@ -58,7 +63,11 @@ def mix64(x: int) -> int:
 
 
 def stream_seed(master: int, index: int) -> int:
-    return mix64((master & _MASK64) ^ mix64((index + 1) & _MASK64))
+    """The seed of trial ``index``'s stream; a ``CpdzipError`` unless
+    ``master`` is a master seed."""
+    if not is_master_seed(master):
+        raise CpdzipError(f"master seed must be an int in [0, 2^64), got {master!r}")
+    return mix64(master ^ mix64((index + 1) & _MASK64))
 
 
 def stream_rng(master: int, index: int) -> random.Random:
@@ -70,13 +79,9 @@ class RationalSampler:
     """Exact sampler for one distribution via 64-bit CDF inversion."""
 
     def __init__(self, dist: Distribution):
-        denom = math.lcm(*(p.denominator for p in dist.probs))
-        cum = []
-        acc = 0
-        for p in dist.probs:
-            acc += p.numerator * (denom // p.denominator)
-            cum.append(acc)
-        assert acc == denom  # normalized distributions only
+        nums, denom = over_common_denominator(dist.probs)
+        cum = list(accumulate(nums))
+        assert cum[-1] == denom  # normalized distributions only
         if denom > 1 << 64:  # limit would be 0 and every word rejected
             raise CpdzipError(
                 f"cannot sample a distribution with common denominator {denom}: "

@@ -15,19 +15,16 @@ an int before construction.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
-from functools import partial, reduce
 from fractions import Fraction
-from itertools import chain, combinations, count, islice, product
-from operator import add, mul
-from typing import Callable, Sequence
+from itertools import chain, combinations, islice, product
+from typing import Sequence
 
 from .errors import DocumentError, json_field
 from .model import CpdzipError, ModelSpec
 from .rational import (
     Scalar,
     compact,
+    over_common_denominator,
     pack_scalars,
     parse_scalars,
     scalar_strs,
@@ -190,116 +187,11 @@ def cpd_compose(t: FactorTuple | Sequence[FactorMatrix]) -> ExactTensor:
     return ExactTensor(len(mats), mats[0].n, tuple(compose_entries(mats)))
 
 
-def intern_tensors(
-    mode_matrices: Sequence[Sequence[FactorMatrix]], order: int
-) -> tuple[list[int], dict[bytes, int]]:
-    """The tensor id of every factor tuple of a tuple space, and the key of
-    each id.
-
-    ``mode_matrices`` holds one list of matrices per mode; tuples come in
-    ``itertools.product(*mode_matrices)`` order, mode 1 most significant.  A
-    single list is used in all ``order`` modes (the supersymmetric case).
-    Returns ``(tuple_ids, key_to_id)``: equal ids mean equal tensors, ids are
-    numbered in order of first occurrence, and each key equals
-    ``pack_scalars(compose_entries(tuple))`` byte for byte.
-
-    The tensor splits on its first index into n slabs, and a slab splits on
-    its next index the same way down to the last mode.  With w an R-vector
-    (the product of the rows already fixed), the slab
-    P(w; k) = sum_r w_r X_k[:, r] (x) ... (x) X_N[:, r] is the n-tuple of the
-    slabs P(w * X_k[i, :]; k+1), and P(w; N) is an n-entry block.  Each
-    level's slabs are interned (``_slab_bytes``), so bytes are packed once
-    per distinct block and joined once per distinct slab.  The top level is
-    hash-consed the same way: a tuple's id is interned on the tuple of its n
-    top-level slabs, and a key is joined once per id.  This numbers ids as
-    interning the joined keys would: every scalar packs to a self-delimiting
-    varint pair (a prefix code) and every top-level slab packs n^(N-1)
-    scalars, so a key splits back into its n slabs in one way only, and two
-    slab tuples are equal exactly when their joins are.
-
-    A supersymmetric tensor is the sum of its columns' N-fold outer powers,
-    sum_r x_r (x) ... (x) x_r, so it depends only on the multiset of the
-    matrix's columns.  Each distinct column's power is computed once, each
-    distinct multiset (the sorted column tuple) has its powers summed and
-    packed once, and every matrix with that multiset takes its id.  Ids are
-    interned on the packed bytes, since two multisets can give one tensor
-    (x and -x cancel at odd N).
-    """
-    tuple_ids: list[int] = []
-    key_to_id: dict[bytes, int] = {}
-    intern = key_to_id.setdefault
-    if len(mode_matrices) == 1:
-        powers: dict[tuple, Sequence[Scalar]] = {}
-        multiset_ids: dict[tuple, int] = {}
-        for x in mode_matrices[0]:
-            cols = tuple(sorted(zip(*x.rows)))
-            tid = multiset_ids.get(cols)
-            if tid is None:
-                for col in cols:
-                    if col not in powers:
-                        term = col
-                        for _ in range(order - 1):
-                            term = [a * b for a in term for b in col]
-                        powers[col] = term
-                entries = reduce(partial(map, add), map(powers.__getitem__, cols))
-                tid = multiset_ids[cols] = intern(pack_scalars(entries), len(key_to_id))
-            tuple_ids.append(tid)
-        return tuple_ids, key_to_id
-    if not all(mode_matrices):
-        return tuple_ids, key_to_id
-    first, *rest = mode_matrices
-    slabs = _slab_bytes(rest)
-    ids: defaultdict[tuple, int] = defaultdict(count().__next__)
-    for x in first:  # the top level is interned on its n slabs, and joined once per id
-        tuple_ids += map(ids.__getitem__, zip(*map(slabs, x.rows)))
-    return tuple_ids, dict(zip(map(b"".join, ids), ids.values()))
-
-
-def _slab_bytes(
-    modes: Sequence[Sequence[FactorMatrix]],
-) -> Callable[[tuple], list[bytes]]:
-    """A function of an R-vector w giving the packed bytes of P(w; k) for
-    every tuple of ``modes`` (X_k, ..., X_N), in product order, memoized per w.
-
-    Slabs are interned: equal slabs share one bytes object, found by the
-    scalars of a block or by the n bytes objects of a slab's children.
-    """
-    here, *below = modes
-    memo: dict[tuple, list[bytes]] = {}
-    interned: dict[tuple, bytes] = {}
-    if below:
-        children = _slab_bytes(below)
-        join = b"".join
-
-        def parts_of(w):  # the n child slabs of each matrix of this mode
-            return chain.from_iterable(
-                zip(*[children(tuple(map(mul, w, row))) for row in x.rows]) for x in here
-            )
-    else:
-        join = pack_scalars
-
-        def parts_of(w):  # the block of each last-mode matrix
-            return (tuple(sum(map(mul, w, row)) for row in x.rows) for x in here)
-
-    def slabs(w: tuple) -> list[bytes]:
-        out = memo.get(w)
-        if out is None:
-            out = memo[w] = []
-            for parts in parts_of(w):
-                packed = interned.get(parts)
-                if packed is None:
-                    packed = interned[parts] = join(parts)
-                out.append(packed)
-        return out
-
-    return slabs
-
-
 def composes_to(matrices: Sequence[FactorMatrix], target: ExactTensor) -> bool:
     """Entrywise comparison with early exit; cheaper than composing fully.
 
-    The sweeps read ``intern_tensors``; this stays as the independent oracle
-    that the tests check the engine against.
+    The sweeps read ``sweep.intern_space``; this stays as the independent
+    oracle that the tests check the engine against.
     """
     n = matrices[0].n
     order = len(matrices)
@@ -388,14 +280,10 @@ def _integer_rows(m: Matrix) -> list[list[int]]:
     the solutions of a linear system.  An all-int row is found and copied by
     C-level passes.
     """
-    out = []
-    for row in m:
-        if set(map(type, row)) <= {int}:
-            out.append(list(row))
-            continue
-        lcm = math.lcm(*(v.denominator for v in row if isinstance(v, Fraction)))
-        out.append([int(v * lcm) for v in row])
-    return out
+    return [
+        list(row) if set(map(type, row)) <= {int} else over_common_denominator(row)[0]
+        for row in m
+    ]
 
 
 def _bareiss_row(row: list[int], top: list[int], col: int, prev: int) -> list[int]:

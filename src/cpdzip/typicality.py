@@ -30,6 +30,7 @@ from .model import (
     entropy,
     mode_space_size,
 )
+from .rational import over_common_denominator
 from .records import Record
 
 if TYPE_CHECKING:  # annotations only: no decision here builds a matrix
@@ -80,16 +81,14 @@ class TypicalEnumeration(Record):
     ``positions`` holds, ascending, each typical matrix's index in the
     full-space enumeration of the mode; ``sweep.mode_matrices`` reads the
     matrices at them, and ``sweep.SpaceTable.typical_ids`` reads a full-space
-    table at them.
-    ``table`` is the type table the positions were read from; it takes no
-    part in ``==`` or ``hash``.
+    table at them.  ``mass`` is the exact model probability of the typical
+    set, from the type table the positions were read from.
     """
 
     mode: int
     positions: tuple[int, ...]
     space_size: int
-    table: TypeTable
-    _uncompared = ("table",)
+    mass: Fraction
 
     @property
     def count(self) -> int:
@@ -256,9 +255,9 @@ def enumerate_typical(
 
     Typicality depends only on the type (symbol counts) of each column, so it
     is read from the mode's ``type_table``, built after the mode-space budget
-    check and kept on the result; no matrix is built.  In canonical order a
-    matrix whose columns have indices c_0, ..., c_{R-1} among the |A|^n
-    columns (read as base-|A| numbers) sits at position
+    check, whose mass the result keeps; no matrix is built.  In canonical
+    order a matrix whose columns have indices c_0, ..., c_{R-1} among the
+    |A|^n columns (read as base-|A| numbers) sits at position
     sum_r c_r * (|A|^n)^(R-1-r); walking the leading columns in order and, for
     each, the last columns that complete a typical type tuple in ascending
     order yields ascending positions.
@@ -278,7 +277,7 @@ def enumerate_typical(
     for i, lead in enumerate(product(range(columns), repeat=r - 1)):
         base = i * columns  # lead is the base-|A|^n numeral of i
         positions.extend(base + c for c in completions[tuple(col_types[c] for c in lead)])
-    enum = TypicalEnumeration(mode, tuple(positions), space, table)
+    enum = TypicalEnumeration(mode, tuple(positions), space, table.mass)
     # Standard cardinality bound: every typical X has P(X) > exp(-n(sum_r H + gamma)),
     # and the total mass is at most 1.
     if enum.count:
@@ -314,9 +313,7 @@ def type_table(
     column_weights = []
     denominator = 1
     for column in range(r):
-        probs = m.dist(mode, column).probs
-        d = math.lcm(*(q.denominator for q in probs))
-        scaled = [q.numerator * (d // q.denominator) for q in probs]
+        scaled, d = over_common_denominator(m.dist(mode, column).probs)
         column_weights.append({
             t: n_fact // math.prod(map(math.factorial, t))
             * math.prod(s**c for s, c in zip(scaled, t))

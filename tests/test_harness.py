@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -488,6 +491,25 @@ def test_out_that_names_no_file_is_refused_before_any_row(tmp_path, out):
         load_experiment_config(path)
 
 
+def test_a_float_seed_is_refused_at_once():
+    # Run in a child with a timeout: a range-membership test of a float seed
+    # scans the whole range, so a regression hangs instead of failing.
+    code = (
+        "from fractions import Fraction\n"
+        "from cpdzip.experiments import ExperimentConfig\n"
+        "from cpdzip.model import CpdzipError\n"
+        "try:\n"
+        "    ExperimentConfig('m.json', 'spectrum', (4,), (Fraction(1, 10),), 1, 1.5, 'out')\n"
+        "except CpdzipError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "seed must be in [0, 2^64), got 1.5\n")
+
+
 def _config_doc(**changes) -> dict:
     doc = {"model": "m.json", "kind": "spectrum", "n_grid": [4], "seed": 7, "out": "results/spec"}
     doc.update(changes)
@@ -504,6 +526,7 @@ def _config_doc(**changes) -> dict:
         {"trials": "10"},
         {"trials": 2.5},
         {"seed": 7.0},
+        {"seed": 1.5},
         {"seed": None},
         {"budget": "1000"},
         {"budget": 0},

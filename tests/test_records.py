@@ -88,12 +88,13 @@ def test_equal_records_hash_equal_and_as_the_tuple_of_their_fields():
     assert TypicalityParams(Fraction(1, 10), 3) == TypicalityParams("1/10", 3)
 
 
-def test_typical_enumeration_equality_ignores_its_table():
+def test_typical_enumeration_equality_compares_every_field():
     m = rank_one_sign_model(2, 3, [uniform(2)] * 3)
     enum = enumerate_typical(m, TypicalityParams(Fraction(1, 10), 2), 1)
-    other = replace(enum, table=None)
+    other = replace(enum)
     assert other == enum and hash(other) == hash(enum)
     assert replace(enum, space_size=enum.space_size + 1) != enum
+    assert replace(enum, mass=enum.mass + 1) != enum
     assert isinstance(enum, TypicalEnumeration)
 
 

@@ -220,3 +220,25 @@ def test_spectrum_samples_equal_log_prob_of_sampled_tuples(m, seed):
         )
         expected.append((-total / m.dim).hex())
     assert [v.hex() for v in spectrum_samples(m, 3, seed)] == expected
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, True])
+def test_every_draw_refuses_a_seed_that_is_not_a_master_seed(seed):
+    # Reading 64 bits of a wider seed would repeat the streams of the seed it
+    # reduces to; a float or a bool is no master seed at all.
+    m = MODELS["supersymmetric"]
+    message = r"master seed must be an int in \[0, 2\^64\)"
+    with pytest.raises(CpdzipError, match=message):
+        stream_rng(seed, 0)
+    with pytest.raises(CpdzipError, match=message):
+        spectrum_samples(m, 3, seed)
+    with pytest.raises(CpdzipError, match=message):
+        estimate_full_rank_prob(m, 5, seed)
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_every_draw_accepts_the_ends_of_the_seed_range(seed):
+    m = MODELS["supersymmetric"]
+    assert stream_rng(seed, 0).getrandbits(64) == stream_rng(seed, 0).getrandbits(64)
+    assert len(spectrum_samples(m, 3, seed)) == 3
+    assert estimate_full_rank_prob(m, 5, seed)[0].trials == 5

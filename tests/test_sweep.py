@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdzip import codec, tensors
+from cpdzip import codec, sweep, tensors
 from cpdzip.analysis import bilinear_sign_model, cubic_sign_model, rank_one_sign_model
 from cpdzip.codec import build_decode_book, measure_scheme
 from cpdzip.model import (
@@ -168,7 +168,7 @@ def test_cold_table_packs_each_distinct_last_mode_block_once(monkeypatch):
         packed.append(values)
         return _pack(values)
 
-    monkeypatch.setattr(tensors, "pack_scalars", counted)
+    monkeypatch.setattr(sweep, "pack_scalars", counted)
     m = rank_one_sign_model(5, 3, [U2] * 3)  # the codec's rank-one sign model
     table = codec._space_index(m, 1 << 15)
     spaces = table.spaces
@@ -207,7 +207,8 @@ def test_supersymmetric_ids_equal_the_partition_of_packed_compositions(instance)
     # Any matrix list, not only a canonical space: the multiset memo must not
     # lean on the list's order or on each matrix occurring once.
     order, mats = instance
-    tuple_ids, key_to_id = tensors.intern_tensors([mats], order)
+    table = intern_space([mats], order)
+    tuple_ids, key_to_id = table.tuple_ids, table.key_to_id
     first: dict[bytes, int] = {}
     packed = [pack_scalars(compose_entries(tensors.replicate(x, order))) for x in mats]
     for key in packed:
@@ -246,7 +247,8 @@ def test_product_ids_equal_the_partition_of_packed_compositions(instance):
     # any per-mode lists, repeats included, must give the ids and keys of
     # interning the packed compositions.
     order, lists = instance
-    tuple_ids, key_to_id = tensors.intern_tensors(lists, order)
+    table = intern_space(lists, order)
+    tuple_ids, key_to_id = table.tuple_ids, table.key_to_id
     first: dict[bytes, int] = {}
     packed = [pack_scalars(compose_entries(mats)) for mats in product(*lists)]
     for key in packed:
@@ -266,9 +268,10 @@ def test_cubic_table_packs_each_column_multiset_once(monkeypatch):
         packed.append(values)
         return _pack(values)
 
-    monkeypatch.setattr(tensors, "pack_scalars", counted)
+    monkeypatch.setattr(sweep, "pack_scalars", counted)
     mats = list(iter_mode_matrices(cubic_sign_model(5, U2, U2), 1))
-    tuple_ids, key_to_id = tensors.intern_tensors([mats], 3)
+    table = intern_space([mats], 3)
+    tuple_ids, key_to_id = table.tuple_ids, table.key_to_id
     multisets = {tuple(sorted(x.columns())) for x in mats}
     assert (len(mats), len(multisets), len(key_to_id)) == (1024, 528, 513)
     assert len(set(tuple_ids)) == 513

@@ -309,7 +309,7 @@ def assert_type_path_matches_oracle(m, p):
     assert tuple(mode_matrices(m, 1, enum.positions)) == tuple(x for _, x in typical)
     expected = sum((matrix_probability(x, m) for _, x in typical), Fraction(0))
     assert typicality_mass(m, p, 1) == expected
-    assert enum.table.mass == expected
+    assert enum.mass == expected
     return enum
 
 
