@@ -38,12 +38,12 @@ from .census import (
 )
 from .model import (
     Alphabet,
-    BudgetExceededError,
     CpdzipError,
     DEFAULT_BUDGET,
     Distribution,
     ModelSpec,
-    mode_space_size,
+    checked_size,
+    mode_space_power,
     uniform,
 )
 from .rational import Scalar
@@ -256,10 +256,9 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     is factored once, over every alphabet-valued scaling.  Every combination
     of row factorizations whose matrices all have full rank is a tuple
     composing to T, and every full-rank tuple arises this way from its own
-    X_N, so the set equals brute force's full-rank set.  A supersymmetric model's tuples replicate one
-    matrix, so its full-rank set is the members whose N matrices are equal:
-    the candidates X_N whose K^T has the rows x_r^(N-1), each kept as X_N
-    replicated, with no row factored.  X_N has rank R, as Y is invertible.
+    X_N, so the set equals brute force's full-rank set.  A supersymmetric
+    model's tuples replicate one matrix, so its full-rank set is the members
+    of that set whose N matrices are all equal.
     """
     r, n, order = m.components, m.dim, m.order
     u = unfold(t, order)
@@ -277,15 +276,6 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
     for cols in permutations(vectors, r):
         k_t = solve_exact([[y[p] for _, y in cols] for p in range(r)], u_p)
         if k_t is None:
-            continue
-        if m.supersymmetric:
-            # every mode holds X_N, so row r of K^T must be x_r^(N-1)
-            if all(
-                tuple(row) == outer_product([v] * (order - 1)).entries
-                for row, (v, _) in zip(k_t, cols)
-            ):
-                x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))))
-                result.append(FactorTuple(replicate(x_n, order)))
             continue
         per_row = []
         for row in map(tuple, k_t):
@@ -307,6 +297,8 @@ def _full_rank_cogenerators(t: ExactTensor, m: ModelSpec) -> list[FactorTuple]:
         if combos and all(has_full_rank(x.rows) for x in combos[0]):
             x_n = FactorMatrix(order, tuple(zip(*(v for v, _ in cols))))
             result.extend(FactorTuple(mats + (x_n,)) for mats in combos)
+    if m.supersymmetric:
+        result = [ft for ft in result if len({x.rows for x in ft.matrices}) == 1]
     return sorted(result, key=_tuple_sort_key)
 
 
@@ -439,9 +431,7 @@ def exact_rank_deficiency_prob(
     m: ModelSpec, mode: int, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact Pr{rank(X_mode) < R} by enumeration of the mode's matrix space."""
-    space = mode_space_size(m, mode)
-    if space > budget:
-        raise BudgetExceededError(space, budget, f"mode-{mode} enumeration")
+    checked_size([mode_space_power(m, mode)], budget, f"mode-{mode} enumeration")
     r = m.components
     total = Fraction(0)
     for x in iter_mode_matrices(m, mode):

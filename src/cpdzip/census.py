@@ -27,10 +27,10 @@ from itertools import product
 
 from .model import (
     Alphabet,
-    BudgetExceededError,
     CpdzipError,
     DEFAULT_BUDGET,
     ModelSpec,
+    checked_size,
 )
 from .rational import Scalar, over_common_denominator
 from .records import Record, _set
@@ -52,7 +52,6 @@ MAX_REPRESENTATIVES = 64
 class FactorizationCensus(Record):
     """Exhaustive count of the factor tuples composing to one target tensor."""
 
-    target: ExactTensor
     total_count: int
     full_rank_count: int
     representatives: tuple[FactorTuple, ...]
@@ -102,7 +101,6 @@ def _count_in(
 
     classes = _equivalence_classes(full_rank_tuples)
     return FactorizationCensus(
-        target=t,
         total_count=total,
         full_rank_count=full_rank,
         representatives=tuple(reps),
@@ -191,17 +189,6 @@ def _lambda(pair: tuple[Scalar, Scalar], fractions: dict) -> Fraction:
     return lam
 
 
-def find_perm_scaling(ref: FactorTuple, other: FactorTuple) -> PermScalingRelation | None:
-    """Exact (P, Lambda_i) relation between two tuples, or None.
-
-    Valid for full-rank reference tuples (their columns are pairwise
-    non-proportional, so the permutation is unique if it exists).  Tuples
-    that differ in order, n or R raise ShapeError.
-    """
-    _check_same_shape(ref, other)
-    return _perm_scaling([x.columns() for x in ref.matrices], {}, {}, other)
-
-
 def _column_pairs(ref_cols, rows, permutation) -> tuple | None:
     """The ratio pair of each column of ``rows`` against the reference column
     that ``permutation`` gives it, or None if some column is not proportional
@@ -232,7 +219,10 @@ def _first_match(ref_cols, rows) -> tuple | None:
 def _perm_scaling(
     ref_cols, fractions: dict, matches: dict, other: FactorTuple
 ) -> PermScalingRelation | None:
-    """``find_perm_scaling`` against a reference given by its columns per mode.
+    """The exact (P, Lambda_i) relation of ``other`` to a reference given by
+    its columns per mode, or None.  It is valid for a full-rank reference,
+    whose columns are pairwise non-proportional, so the permutation is unique
+    if it exists.
 
     Every check runs in the scalars the columns hold: each column pair
     yields a ratio pair (b0, a0) whose other entries are compared by
@@ -362,9 +352,7 @@ def gamma_bound(m: ModelSpec) -> int:
         per_column = sum(c for (p, q), c in products.items() if _reduced(q, p) in last)
         return math.factorial(r) * per_column**r
     alphabet = m.alphabet(1)
-    minors = alphabet.size ** (r * r)
-    if minors > _BRUTE_SPACE_CAP:
-        raise BudgetExceededError(minors, _BRUTE_SPACE_CAP, "invertible-minor count")
+    checked_size([(alphabet.size, r * r)], _BRUTE_SPACE_CAP, "invertible-minor count")
     invertible = sum(
         1
         for entries in product(alphabet.symbols, repeat=r * r)

@@ -27,15 +27,51 @@ class ModelValidationError(CpdzipError):
 
 
 class BudgetExceededError(CpdzipError):
-    """An exact enumeration would exceed the configured budget."""
+    """An exact enumeration would exceed the configured budget.  ``required``
+    is the count, or the ``count_text`` of one too large to build."""
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
-        super().__init__(
-            f"{what} needs {required} items, exceeding the budget of {budget}; "
-            f"rerun with a budget of at least {required}"
-        )
+    def __init__(self, required: int | str, budget: int, what: str = "enumeration"):
+        need = required if isinstance(required, str) else count_text([(required, 1)])
+        rerun = f"; rerun with a budget of at least {need}" if need.isdigit() else ""
+        super().__init__(f"{what} needs {need} items, exceeding the budget of {budget}{rerun}")
         self.required = required
         self.budget = budget
+
+
+# A count of 2^15 bits or more is never built: it would have over 9,800
+# digits, past Python's print limit (4,300), and could take gigabytes.
+_BUILT_BITS = 1 << 15
+
+
+def _floor_bits(powers) -> int:
+    """k with 2^k <= the product of base ** exponent over ``powers``."""
+    return sum(e * (b.bit_length() - 1) for b, e in powers)
+
+
+def count_text(powers) -> str:
+    """The product of ``base ** exponent`` over ``powers`` in decimal, or
+    "at least 2^k" when it is too large to build or print."""
+    bits = _floor_bits(powers)
+    if bits < _BUILT_BITS:
+        count = math.prod(b**e for b, e in powers)
+        try:
+            return str(count)
+        except ValueError:  # past the interpreter's int-to-str limit
+            bits = count.bit_length() - 1
+    return f"at least 2^{bits}"
+
+
+def checked_size(powers, budget: int, what: str) -> int:
+    """The product of ``base ** exponent`` over ``powers`` (positive bases),
+    or BudgetExceededError naming ``what`` if it exceeds ``budget`` (math.inf
+    for a space already checked).  Past both the budget's bit length and
+    ``_BUILT_BITS`` it is refused from its exponents, and never built."""
+    if budget != math.inf and _floor_bits(powers) >= max(budget.bit_length(), _BUILT_BITS):
+        raise BudgetExceededError(count_text(powers), budget, what)
+    size = math.prod(b**e for b, e in powers)
+    if size > budget:
+        raise BudgetExceededError(size, budget, what)
+    return size
 
 
 DEFAULT_BUDGET = 1 << 26
@@ -123,9 +159,14 @@ class ModelSpec(Record):
         return self.dists[mode - 1][column]
 
 
+def mode_space_power(m: ModelSpec, mode: int) -> tuple[int, int]:
+    """(|A|, nR): mode ``mode`` has |A|^(nR) matrices."""
+    return m.alphabet(mode).size, m.dim * m.components
+
+
 def mode_space_size(m: ModelSpec, mode: int) -> int:
     """Number of matrices of mode ``mode``: |A|^(nR)."""
-    return m.alphabet(mode).size ** (m.dim * m.components)
+    return pow(*mode_space_power(m, mode))
 
 
 def validate(m: ModelSpec) -> list[str]:

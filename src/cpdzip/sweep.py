@@ -18,7 +18,7 @@ from itertools import chain, compress, count, product
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .model import BudgetExceededError, ModelSpec, mode_space_size
+from .model import ModelSpec, checked_size, mode_space_power, mode_space_size
 from .rational import Scalar, over_common_denominator, pack_scalars
 from .records import Record
 from .tensors import FactorMatrix
@@ -56,9 +56,8 @@ def iter_mode_matrices(m: ModelSpec, mode: int) -> Iterator[FactorMatrix]:
 def check_space_budget(m: ModelSpec, budget: int, what: str) -> None:
     """Raise ``BudgetExceededError`` naming ``what`` when the full tuple space
     of ``m`` holds more than ``budget`` tuples."""
-    total = math.prod(mode_space_size(m, i) for i in range(1, m.independent_matrices + 1))
-    if total > budget:
-        raise BudgetExceededError(total, budget, what)
+    modes = range(1, m.independent_matrices + 1)
+    checked_size([mode_space_power(m, i) for i in modes], budget, what)
 
 
 def unrank(spaces: Sequence[Sequence[FactorMatrix]], index: int) -> list[FactorMatrix]:

@@ -20,7 +20,7 @@ from itertools import chain, combinations, islice, product
 from typing import Sequence
 
 from .errors import DocumentError, json_field
-from .model import CpdzipError, ModelSpec
+from .model import CpdzipError, ModelSpec, count_text
 from .rational import (
     Scalar,
     compact,
@@ -50,10 +50,12 @@ class ExactTensor(Record):
     entries: tuple[Scalar, ...]
 
     def __init__(self, order: int, dim: int, entries: Sequence[Scalar]):
-        if len(entries) != dim**order:
+        # |dim|^order >= 2^(order * (bits of dim - 1)) refuses a far larger power unbuilt
+        size = len(entries)
+        if order * (dim.bit_length() - 1) > size.bit_length() or size != dim**order:
             raise ShapeError(
                 f"order-{order} tensor of dim {dim} needs "
-                f"{dim ** order} entries, got {len(entries)}"
+                f"{count_text([(dim, order)])} entries, got {size}"
             )
         _set(self, "order", order)
         _set(self, "dim", dim)

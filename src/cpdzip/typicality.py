@@ -23,12 +23,12 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .model import (
-    BudgetExceededError,
     CpdzipError,
     DEFAULT_BUDGET,
     ModelSpec,
+    checked_size,
     entropy,
-    mode_space_size,
+    mode_space_power,
 )
 from .rational import over_common_denominator
 from .records import Record
@@ -262,9 +262,7 @@ def enumerate_typical(
     each, the last columns that complete a typical type tuple in ascending
     order yields ascending positions.
     """
-    space = mode_space_size(m, mode)
-    if space > budget:
-        raise BudgetExceededError(space, budget, f"mode-{mode} enumeration")
+    space = checked_size([mode_space_power(m, mode)], budget, f"mode-{mode} enumeration")
     table = type_table(m, p, mode, budget)
     size, n, r = m.alphabet(mode).size, m.dim, m.components
     col_types = [tuple(map(d.count, range(size))) for d in product(range(size), repeat=n)]
@@ -302,13 +300,12 @@ def type_table(
     columns, each of probability prod_k p_{r,k}^t_k; a type tuple's weight is
     the product of these over its columns.  With column r's probabilities over
     a common denominator d_r the weights are integers over prod_r d_r^n.
-    ``budget`` bounds the number of type tuples decided, not the mode space.
+    ``budget`` bounds the number of type tuples decided, not the mode space;
+    they are counted, C(n + |A| - 1, |A| - 1)^R, before any type is built.
     """
-    n, r = m.dim, m.components
-    types = _column_types(m.alphabet(mode).size, n)
-    tuples = len(types) ** r
-    if tuples > budget:
-        raise BudgetExceededError(tuples, budget, f"mode-{mode} type tuples")
+    n, r, size = m.dim, m.components, m.alphabet(mode).size
+    checked_size([(math.comb(n + size - 1, size - 1), r)], budget, f"mode-{mode} type tuples")
+    types = _column_types(size, n)
     n_fact = math.factorial(n)
     column_weights = []
     denominator = 1

@@ -34,7 +34,6 @@ from cpdzip.census import (
     _equivalence_classes,
     _relation_to,
     count_factorizations,
-    find_perm_scaling,
     find_w_relation,
     gamma_bound,
 )
@@ -263,6 +262,14 @@ def test_full_rank_bound_values():
     assert float(b2.zeta_per_mode[0]) == pytest.approx(0.13139820098876953)
 
 
+def test_full_rank_bound_refuses_a_degenerate_distribution():
+    a = Alphabet((-1, 1))
+    certain = Distribution((Fraction(0), Fraction(1)))
+    m = ModelSpec(2, 3, 1, (a, a), ((U2,), (certain,)))
+    with pytest.raises(UnsupportedModelError, match="^mode 2 has a degenerate distribution$"):
+        full_rank_prob_bound(m)
+
+
 def test_zeta_decreasing_in_n():
     p = Distribution((Fraction(1, 4), Fraction(3, 4)))
     a = Alphabet((-1, 1))
@@ -287,6 +294,15 @@ def test_rank_deficiency_below_zeta(n, skewed):
     bound = full_rank_prob_bound(m)
     for mode in (1, 2, 3):
         assert exact_rank_deficiency_prob(m, mode) <= bound.zeta_per_mode[mode - 1]
+
+
+def test_exact_rank_deficiency_refuses_a_mode_space_over_budget():
+    message = (
+        "^mode-2 enumeration needs 16 items, exceeding the budget of 15; "
+        "rerun with a budget of at least 16$"
+    )
+    with pytest.raises(BudgetExceededError, match=message):
+        exact_rank_deficiency_prob(generic_sign_model(2), 2, budget=15)
 
 
 def test_rank_one_no_zero_symbol_never_deficient():
@@ -631,16 +647,14 @@ def test_census_ranks_each_recovered_matrix_once(monkeypatch):
         assert len(ranked) == len(set(ranked)) > 0
 
 
-def test_supersymmetric_census_factors_no_row(monkeypatch):
-    # Every mode of a supersymmetric tuple holds X_N, so each row of K^T is
-    # compared with x_r^(N-1) instead of being factored into other tuples.
-    calls = count_calls(monkeypatch, "_rank_one_factors")
+def test_supersymmetric_census_certifies_sampled_tensors():
+    # The general peel keeps the tuples whose matrices are all equal: the
+    # reference and its column swap.
     for alphabet in (Alphabet((-1, 1)), Alphabet((-2, -1, 1, 2))):
         row = (uniform(alphabet.size),) * 2
         m = ModelSpec(3, 8, 2, (alphabet,) * 3, (row,) * 3, supersymmetric=True)
         cert = uniqueness_census(cpd_compose(full_rank_sample(m, 101, 0)), m)
         assert cert.certified and cert.full_rank_count == 2
-    assert calls == []
 
 
 def test_census_builds_one_fraction_per_distinct_lambda(monkeypatch):
@@ -724,27 +738,34 @@ def test_uniqueness_census_refuses_a_tensor_of_another_shape():
     t = cpd_compose(full_rank_sample(generic_sign_model(3), 103, 0))
     with pytest.raises(CpdzipError, match="shape"):
         uniqueness_census(t, generic_sign_model(4))
+    with pytest.raises(CpdzipError, match="^target tensor shape does not match the model$"):
+        count_factorizations(t, generic_sign_model(4))
 
 
-def test_find_perm_scaling_detects_column_swap():
+def test_uniqueness_census_refuses_an_order_1_model():
+    m = rank_one_sign_model(2, 1, [U2])
+    with pytest.raises(UnsupportedModelError, match="^uniqueness census needs order >= 2$"):
+        uniqueness_census(cpd_compose(full_rank_sample(m, 103, 0)), m)
+
+
+def test_perm_scaling_detects_column_swap():
     rows = ((1, 1), (1, -1), (-1, 1))
-    x = FactorMatrix(1, rows)
     ref = FactorTuple(tuple(FactorMatrix(i, rows) for i in (1, 2, 3)))
     swapped_rows = tuple((b, a) for a, b in rows)
     other = FactorTuple(tuple(FactorMatrix(i, swapped_rows) for i in (1, 2, 3)))
-    rel = find_perm_scaling(ref, other)
+    rel = _relation_to(ref)(other)
     assert rel is not None
     assert rel.permutation == (1, 0)
 
 
-def test_find_perm_scaling_rejects_unrelated():
+def test_perm_scaling_rejects_unrelated():
     ref = FactorTuple(
         tuple(FactorMatrix(i, ((1, 1), (1, -1), (-1, 1))) for i in (1, 2, 3))
     )
     other = FactorTuple(
         tuple(FactorMatrix(i, ((1, 1), (1, -1), (-1, -1))) for i in (1, 2, 3))
     )
-    assert find_perm_scaling(ref, other) is None
+    assert _relation_to(ref)(other) is None
 
 
 def test_find_w_relation_certifies_inverse_transpose_pair():
@@ -763,23 +784,10 @@ def sign_tuple(order, n, r):
     return full_rank_sample(generic_sign_model(n, order, r), 113, 0)
 
 
-SHAPE_MISMATCHES = [  # (order, n, R) of the reference, then of the other tuple
-    ((3, 3, 2), (3, 4, 2)),
-    ((3, 3, 2), (2, 3, 2)),
-    ((3, 3, 2), (3, 3, 1)),
-]
-
-
 def both_shapes(ref_shape, other_shape):
     """A pattern for a message naming the other tuple's shape, then the reference's."""
     (o1, n1, r1), (o2, n2, r2) = ref_shape, other_shape
     return f"order-{o2} .*n={n2}, R={r2} .*order-{o1} .*n={n1}, R={r1}"
-
-
-@pytest.mark.parametrize("ref_shape, other_shape", SHAPE_MISMATCHES)
-def test_find_perm_scaling_refuses_tuples_of_different_shapes(ref_shape, other_shape):
-    with pytest.raises(ShapeError, match=both_shapes(ref_shape, other_shape)):
-        find_perm_scaling(sign_tuple(*ref_shape), sign_tuple(*other_shape))
 
 
 @pytest.mark.parametrize(
@@ -890,7 +898,7 @@ def test_perm_scaling_equals_the_fraction_check(instance):
     relate = _relation_to(ref)  # one lambda memo across the others
     for other in others:
         expected = fraction_perm_scaling(ref, other)
-        for rel in (find_perm_scaling(ref, other), relate(other)):
+        for rel in (_relation_to(ref)(other), relate(other)):
             assert (rel is None) == (expected is None)
             if rel is not None:
                 assert rel.permutation == expected.permutation
@@ -908,7 +916,7 @@ def test_relation_test_matches_a_shared_matrix_again_under_another_permutation()
     swapped = FactorTuple((FactorMatrix(1, tuple((y, x) for x, y in a)),) + ref.matrices[1:])
     relate = _relation_to(ref)
     assert relate(ref).permutation == (0, 1)
-    assert find_perm_scaling(ref, swapped) is None
+    assert _relation_to(ref)(swapped) is None
     assert relate(swapped) is None
 
 

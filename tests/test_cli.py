@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -365,6 +366,37 @@ def test_encode_zero_denominator_entry_is_an_error(model_file, tmp_path, capsys)
     tensor_path.write_text(json.dumps(doc))
     assert main(_encode_args(model_file, tensor_path, tmp_path / "bad.tcpd")) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, field, size, message", [
+    ("codebook", "dim", 20000, "mode-1 enumeration needs at least 2^20000 items, "),
+    ("codebook", "dim", 10**8, "mode-1 enumeration needs at least 2^100000000 items, "),
+    ("encode", "order", 20000, "order-20000 tensor of dim 2 needs at least 2^20000 entries, "),
+    ("encode", "order", 10**8, "order-100000000 tensor of dim 2 needs at least 2^100000000 "),
+    ("count", "order", 20000, "order-20000 tensor of dim 2 needs at least 2^20000 entries, "),
+    ("count", "order", 10**8, "order-100000000 tensor of dim 2 needs at least 2^100000000 "),
+])
+def test_a_size_too_large_to_print_or_build_is_refused_at_once(
+    model_file, tmp_path, capsys, command, field, size, message
+):
+    # |A|^(nR) and dim^order past Python's 4,300-digit print limit are named
+    # by a power of two below them, and at 10^8 are never built
+    doc = model_to_dict(load_model(model_file))
+    doc["dim"] = size if field == "dim" else 4
+    model_path = tmp_path / "sized.json"
+    model_path.write_text(json.dumps(doc))
+    tensor_path = tmp_path / "sized_tensor.json"
+    tensor_path.write_text(json.dumps({"kind": "tensor", "order": size, "dim": 2, "entries": []}))
+    argv = {
+        "codebook": ["codebook", "--model", str(model_path), "--gamma", "1/10"],
+        "encode": _encode_args(model_path, tensor_path, tmp_path / "sized.tcpd"),
+        "count": ["count", "--model", str(model_path), "--tensor", str(tensor_path)],
+    }[command]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("gamma", ["0", "0/7"])

@@ -292,6 +292,17 @@ def test_each_type_tuple_is_decided_once_per_build(monkeypatch, tmp_path):
     assert len(calls) == 48
 
 
+def test_decode_book_refuses_a_typical_tuple_space_over_budget():
+    # every matrix of a uniform model is typical: 4 per mode, 64 tuples, while
+    # each mode (4 matrices, 3 column types) fits the budget
+    message = (
+        "^codebook tuple space needs 64 items, exceeding the budget of 10; "
+        "rerun with a budget of at least 64$"
+    )
+    with pytest.raises(BudgetExceededError, match=message):
+        build_decode_book(uniform_rank_one(2), TypicalityParams(Fraction(1, 10), 2), budget=10)
+
+
 def test_measure_scheme_budget_refusal():
     m = uniform_rank_one(4)
     with pytest.raises(BudgetExceededError):
@@ -405,6 +416,8 @@ def test_codeword_to_bytes_refuses_out_of_range_fields():
         with pytest.raises(CodewordRangeError) as info:
             codeword_to_bytes(Codeword(**{**fields, **change}))
         assert isinstance(info.value, CpdzipError) and isinstance(info.value, ValueError)
+    with pytest.raises(CodewordRangeError, match="^codeword model digest must be 32 bytes$"):
+        codeword_to_bytes(Codeword(**{**fields, "model_digest": bytes(31)}))
     longest = Codeword(**{**fields, "index": (1 << (8 * 255)) - 1})
     assert codeword_from_bytes(codeword_to_bytes(longest)) == longest
 
@@ -429,6 +442,9 @@ def test_codeword_from_bytes_accepts_one_form_per_codeword():
     ):
         with pytest.raises(DecodeError):
             codeword_from_bytes(blob)
+    newer = _wire()[:4] + bytes([VERSION + 1]) + _wire()[5:]
+    with pytest.raises(DecodeError, match=f"^unsupported codeword version {VERSION + 1}$"):
+        codeword_from_bytes(newer)
 
 
 u8 = st.integers(0, 255)

@@ -11,15 +11,18 @@ from cpdzip.model import (
     Alphabet,
     Distribution,
     ModelSpec,
+    ModelValidationError,
     canonical_model_json,
     entropy,
     model_from_dict,
     model_hash,
     model_to_dict,
+    require_valid,
     theoretical_threshold,
     uniform,
     validate,
 )
+from cpdzip.records import replace
 
 
 def entropy_oracle(probs, dps=60) -> float:
@@ -150,6 +153,38 @@ def test_validate_supersymmetric_requires_identical_modes():
     p = Distribution((Fraction(1, 4), Fraction(3, 4)))
     m = ModelSpec(2, 3, 1, (a, a), ((p,), (uniform(2),)), supersymmetric=True)
     assert any("supersymmetric" in v for v in validate(m))
+
+
+SIGNS = Alphabet((-1, 1))
+VALID = ModelSpec(2, 2, 1, (SIGNS, SIGNS), ((uniform(2),), (uniform(2),)))
+
+
+@pytest.mark.parametrize("changes, violation", [
+    ({"order": 0}, "order must be >= 1, got 0"),
+    ({"dim": 0}, "dim must be >= 1, got 0"),
+    ({"components": 0}, "components must be >= 1, got 0"),
+    ({"alphabets": (SIGNS,)}, "expected 2 alphabets, got 1"),
+    ({"dists": ((uniform(2),),)}, "expected 2 distribution rows, got 1"),
+    ({"dists": ((uniform(2),), (uniform(2), uniform(2)))}, "mode 2: expected 1 distributions, got 2"),
+    ({"alphabets": (Alphabet(()), SIGNS)}, "mode 1: alphabet is empty"),
+    (
+        {"dists": ((uniform(3),), (uniform(2),))},
+        "mode 1, column 0: distribution has 3 probabilities for an alphabet of size 2",
+    ),
+    (
+        {"dists": ((Distribution((Fraction(3, 2), Fraction(-1, 2))),), (uniform(2),))},
+        "mode 1, column 0: distribution has a negative probability",
+    ),
+    (
+        {"alphabets": (SIGNS, Alphabet((-2, 2))), "supersymmetric": True},
+        "supersymmetric mode requires identical alphabets across modes",
+    ),
+])
+def test_require_valid_names_each_violation(changes, violation):
+    assert require_valid(VALID) is VALID
+    with pytest.raises(ModelValidationError) as exc:
+        require_valid(replace(VALID, **changes))
+    assert violation in exc.value.violations
 
 
 def test_json_round_trip_and_integer_symbols():

@@ -49,6 +49,11 @@ def test_a_bad_field_list_is_a_type_error(args, kwargs):
         Pair(*args, **kwargs)
 
 
+def test_an_unknown_field_is_named():
+    with pytest.raises(TypeError, match=r"^Pair\(\) got unexpected field\(s\) 'z', 'y'$"):
+        Pair(1, 2, z=3, y=4)
+
+
 @pytest.mark.parametrize("record", [
     Pair(1),
     ExactTensor(2, 1, (0,)),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cpdzip import typicality
 from cpdzip.analysis import rank_one_sign_model
 from cpdzip.model import (
     Alphabet,
@@ -227,6 +228,21 @@ def test_enumerate_typical_budget_refusal():
     with pytest.raises(BudgetExceededError, match="mode-1 enumeration") as exc:
         enumerate_typical(m, TypicalityParams(Fraction(1, 10), 4), 1, budget=4)
     assert exc.value.required == 16
+
+
+def test_type_tuples_are_counted_before_any_type_is_built(monkeypatch):
+    # C(1500 + 2, 2) = 1127251 column types over 3 symbols at n = 1500
+    def no_types(size, n):
+        raise AssertionError("column types built before the budget check")
+
+    monkeypatch.setattr(typicality, "_column_types", no_types)
+    m = one_mode_model(1500, Alphabet((-1, 0, 1)), [uniform(3)])
+    message = (
+        "^mode-1 type tuples needs 1127251 items, exceeding the budget of 10; "
+        "rerun with a budget of at least 1127251$"
+    )
+    with pytest.raises(BudgetExceededError, match=message):
+        typicality_mass(m, TypicalityParams(Fraction(1, 10), 1500), 1, budget=10)
 
 
 def test_spectrum_uniform_saturates():
